@@ -162,14 +162,13 @@ int RunRouter(const RouterConfig& config) {
   // command handling. Coordination traffic is control-plane volume — the
   // data path is the partitions' own gossip.
   std::mutex handle_mu;
-  std::vector<std::thread> conns;
   while (true) {
     const int fd = accept(server_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    conns.emplace_back([fd, &router, &handle_mu] {
+    std::thread([fd, &router, &handle_mu] {
       std::string inbuf;
       char chunk[65536];
       while (true) {
@@ -207,8 +206,7 @@ int RunRouter(const RouterConfig& config) {
           return;
         }
       }
-    });
-    conns.back().detach();
+    }).detach();
   }
   close(server_fd);
   return 0;

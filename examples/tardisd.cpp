@@ -557,30 +557,51 @@ std::string ExecuteSessionLine(std::string line, TardisStore* store,
 
 // ---- request pipeline -----------------------------------------------------
 
+/// One client connection; the worker running its request holds a
+/// reference so it can write the reply itself (finish_request).
+struct ClientConn {
+  std::shared_ptr<ClientSession> session;  ///< set once at accept
+  std::mutex mu;             ///< guards every field below
+  int fd = -1;               ///< -1 once the poll loop closed it
+  std::string inbuf;
+  std::string outbuf;
+  size_t out_off = 0;
+  bool busy = false;         ///< one request in the pipeline (strict order)
+  bool close_after_flush = false;
+};
+
 struct Request {
   uint64_t conn_id = 0;
+  std::shared_ptr<ClientConn> conn;
   std::string line;
-  std::shared_ptr<ClientSession> session;
   uint64_t enqueued_ms = 0;
   uint64_t enqueued_us = 0;  ///< NowMicros() twin for the queue_wait stage
 };
 
+/// Tells the poll loop to revisit a connection (or to start draining).
 struct Completion {
   uint64_t conn_id = 0;
-  std::string reply;
-  bool close_conn = false;
   bool shutdown = false;
 };
 
-struct ClientConn {
-  int fd = -1;
-  std::string inbuf;
-  std::string outbuf;
-  size_t out_off = 0;
-  std::shared_ptr<ClientSession> session;
-  bool busy = false;         ///< one request in the pipeline (strict order)
-  bool close_after_flush = false;
-};
+/// Writes as much of conn->outbuf as the socket takes; caller holds
+/// conn->mu. Returns false if the connection broke.
+bool FlushOutput(ClientConn* conn) {
+  while (conn->out_off < conn->outbuf.size()) {
+    const ssize_t n = write(conn->fd, conn->outbuf.data() + conn->out_off,
+                            conn->outbuf.size() - conn->out_off);
+    if (n > 0) {
+      conn->out_off += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    if (n < 0 && errno == EINTR) continue;
+    return false;
+  }
+  conn->outbuf.clear();
+  conn->out_off = 0;
+  return true;
+}
 
 /// SIGTERM/SIGINT land here; the handler only writes one byte (async-
 /// signal-safe) to wake the poll loop into its drain path.
@@ -661,6 +682,8 @@ int RunDaemon(const DaemonConfig& config) {
       {{"site", std::to_string(config.site)}});
   obs::HistogramMetric* queue_wait_stage =
       obs::RegisterStageHistogram(registry.get(), "queue_wait");
+  obs::HistogramMetric* reply_write_stage =
+      obs::RegisterStageHistogram(registry.get(), "reply_write");
   shared.metrics_port = config.metrics_port;
   shared.queue_bound = config.max_queue;
   shared.partition = config.partition;
@@ -762,6 +785,8 @@ int RunDaemon(const DaemonConfig& config) {
     return 1;
   }
   SetNonBlocking(done_pipe[0]);
+  // A full pipe already holds a pending wakeup; a worker must never block.
+  SetNonBlocking(done_pipe[1]);
 
   int sig_pipe[2];
   if (pipe(sig_pipe) != 0) {
@@ -780,11 +805,39 @@ int RunDaemon(const DaemonConfig& config) {
   auto post_completion = [&](Completion c) {
     {
       std::lock_guard<std::mutex> guard(done_mu);
-      done.push_back(std::move(c));
+      done.push_back(c);
     }
     const char b = 1;
     ssize_t ignored = write(done_pipe[1], &b, 1);
     (void)ignored;
+  };
+
+  // Reply write-through: the worker appends the reply behind any unsent
+  // bytes and writes it itself. The poll loop is woken only for leftover
+  // bytes, a pipelined request, a close, or a drain.
+  auto finish_request = [&](const Request& req, const std::string& reply,
+                            bool close_conn, bool shutdown) {
+    bool wake = shutdown || shared.draining.load();
+    {
+      obs::StageTimer stage(reply_write_stage, "reply_write");
+      ClientConn& conn = *req.conn;
+      std::lock_guard<std::mutex> guard(conn.mu);
+      conn.busy = false;
+      if (conn.fd >= 0) {
+        conn.outbuf += reply;
+        conn.outbuf.push_back('\n');
+        if (close_conn) conn.close_after_flush = true;
+        if (!FlushOutput(&conn)) {
+          conn.outbuf.clear();
+          conn.out_off = 0;
+          conn.close_after_flush = true;
+        }
+        wake = wake || conn.close_after_flush ||
+               conn.out_off < conn.outbuf.size() ||
+               conn.inbuf.find('\n') != std::string::npos;
+      }
+    }
+    if (wake) post_completion({req.conn_id, shutdown});
   };
 
   std::vector<std::thread> workers;
@@ -800,23 +853,24 @@ int RunDaemon(const DaemonConfig& config) {
           queue.pop_front();
         }
         shared.queue_depth.fetch_sub(1);
-        Completion c;
-        c.conn_id = req.conn_id;
+        std::string reply;
+        bool close_conn = false;
+        bool shutdown = false;
+        // A leading "*T..." token is the caller's distributed-trace
+        // context: bind it so every span and stage below (reply write
+        // included) joins that trace. A corrupt header is stripped and the
+        // request runs untraced.
+        obs::TraceContext ctx;
+        obs::StripTraceHeader(&req.line, &ctx);
+        obs::TraceContextScope bind_trace(ctx);
         if (config.request_deadline_ms > 0 &&
             NowMs() - req.enqueued_ms > config.request_deadline_ms) {
           // The request aged out while queued; answering it now would just
           // add latency on top of overload. Tell the client to retry.
           shared.deadline_expired_total.fetch_add(1);
           expired_counter->Increment();
-          c.reply = "ERR DEADLINE request expired in queue; retry";
+          reply = "ERR DEADLINE request expired in queue; retry";
         } else {
-          // A leading "*T..." token is the caller's distributed-trace
-          // context: bind it so every span and stage below joins that
-          // trace. A corrupt header is stripped and the request runs
-          // untraced.
-          obs::TraceContext ctx;
-          obs::StripTraceHeader(&req.line, &ctx);
-          obs::TraceContextScope bind_trace(ctx);
           obs::StageBreakdown breakdown;
           obs::StageCollectorScope collect(&breakdown);
           const uint64_t start_us = NowMicros();
@@ -828,10 +882,10 @@ int RunDaemon(const DaemonConfig& config) {
                                wait_us);
           {
             TARDIS_TRACE_SPAN("daemon", "request");
-            c.reply = ExecuteSessionLine(
-                req.line, store->get(), req.session.get(), &replicator,
+            reply = ExecuteSessionLine(
+                req.line, store->get(), req.conn->session.get(), &replicator,
                 transport->get(), config.site, registry.get(), &shared,
-                &c.close_conn, &c.shutdown);
+                &close_conn, &shutdown);
           }
           const uint64_t total_us = NowMicros() - start_us;
           if (config.slow_ms > 0 && total_us >= config.slow_ms * 1000) {
@@ -846,7 +900,7 @@ int RunDaemon(const DaemonConfig& config) {
                 breakdown.Format().c_str());
           }
         }
-        post_completion(std::move(c));
+        finish_request(req, reply, close_conn, shutdown);
       }
     });
   }
@@ -866,7 +920,7 @@ int RunDaemon(const DaemonConfig& config) {
   printf("\n");
   fflush(stdout);
 
-  std::map<uint64_t, ClientConn> conns;
+  std::map<uint64_t, std::shared_ptr<ClientConn>> conns;
   uint64_t next_conn_id = 1;
   bool listening = true;
   uint64_t drain_deadline_ms = 0;
@@ -884,8 +938,10 @@ int RunDaemon(const DaemonConfig& config) {
   };
 
   // Parses complete lines off a connection's inbuf; dispatches at most one
-  // request at a time per connection so replies stay in order.
-  auto pump_conn = [&](uint64_t id, ClientConn& conn) {
+  // request at a time per connection so replies stay in order. Caller
+  // holds conn->mu.
+  auto pump_conn = [&](uint64_t id, const std::shared_ptr<ClientConn>& ptr) {
+    ClientConn& conn = *ptr;
     while (!conn.busy && !conn.close_after_flush) {
       const size_t nl = conn.inbuf.find('\n');
       if (nl == std::string::npos) break;
@@ -905,8 +961,8 @@ int RunDaemon(const DaemonConfig& config) {
         } else {
           Request req;
           req.conn_id = id;
+          req.conn = ptr;
           req.line = std::move(line);
-          req.session = conn.session;
           req.enqueued_ms = NowMs();
           req.enqueued_us = NowMicros();
           queue.push_back(std::move(req));
@@ -936,9 +992,10 @@ int RunDaemon(const DaemonConfig& config) {
     pfds.push_back({done_pipe[0], POLLIN, 0});
     pfds.push_back({listening ? server_fd : -1, POLLIN, 0});
     for (auto& [id, conn] : conns) {
+      std::lock_guard<std::mutex> guard(conn->mu);
       short events = POLLIN;
-      if (conn.out_off < conn.outbuf.size()) events |= POLLOUT;
-      pfds.push_back({conn.fd, events, 0});
+      if (conn->out_off < conn->outbuf.size()) events |= POLLOUT;
+      pfds.push_back({conn->fd, events, 0});
       conn_ids.push_back(id);
     }
 
@@ -954,7 +1011,7 @@ int RunDaemon(const DaemonConfig& config) {
       begin_drain();
     }
 
-    if (pfds[1].revents & POLLIN) {  // worker completions
+    if (pfds[1].revents & POLLIN) {  // worker completions with work left
       char buf[64];
       while (read(done_pipe[0], buf, sizeof(buf)) > 0) {
       }
@@ -963,16 +1020,12 @@ int RunDaemon(const DaemonConfig& config) {
         std::lock_guard<std::mutex> guard(done_mu);
         finished.swap(done);
       }
-      for (Completion& c : finished) {
+      for (const Completion& c : finished) {
         if (c.shutdown) begin_drain();
         auto it = conns.find(c.conn_id);
         if (it == conns.end()) continue;  // client went away mid-request
-        ClientConn& conn = it->second;
-        conn.busy = false;
-        conn.outbuf += c.reply;
-        conn.outbuf.push_back('\n');
-        if (c.close_conn) conn.close_after_flush = true;
-        pump_conn(c.conn_id, conn);
+        std::lock_guard<std::mutex> guard(it->second->mu);
+        pump_conn(c.conn_id, it->second);
       }
     }
 
@@ -981,9 +1034,9 @@ int RunDaemon(const DaemonConfig& config) {
         const int fd = accept(server_fd, nullptr, nullptr);
         if (fd < 0) break;
         SetNonBlocking(fd);
-        ClientConn conn;
-        conn.fd = fd;
-        conn.session = (*store)->CreateSession();
+        auto conn = std::make_shared<ClientConn>();
+        conn->fd = fd;
+        conn->session = (*store)->CreateSession();
         conns.emplace(next_conn_id++, std::move(conn));
       }
     }
@@ -993,7 +1046,8 @@ int RunDaemon(const DaemonConfig& config) {
       const uint64_t id = conn_ids[p - 3];
       auto it = conns.find(id);
       if (it == conns.end()) continue;
-      ClientConn& conn = it->second;
+      ClientConn& conn = *it->second;
+      std::lock_guard<std::mutex> guard(conn.mu);
       const short revents = pfds[p].revents;
       if (revents & (POLLERR | POLLHUP)) {
         // POLLHUP with pending output: try to flush once below anyway.
@@ -1020,7 +1074,7 @@ int RunDaemon(const DaemonConfig& config) {
           conn.outbuf += "ERR line too long\n";
           conn.close_after_flush = true;
         } else {
-          pump_conn(id, conn);
+          pump_conn(id, it->second);
         }
         if (eof && !conn.busy && conn.out_off >= conn.outbuf.size()) {
           to_close.push_back(id);
@@ -1028,32 +1082,21 @@ int RunDaemon(const DaemonConfig& config) {
         }
         if (eof) conn.close_after_flush = true;
       }
-      if (conn.out_off < conn.outbuf.size()) {
-        while (conn.out_off < conn.outbuf.size()) {
-          const ssize_t n = write(conn.fd, conn.outbuf.data() + conn.out_off,
-                                  conn.outbuf.size() - conn.out_off);
-          if (n > 0) {
-            conn.out_off += static_cast<size_t>(n);
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (n < 0 && errno == EINTR) continue;
-          to_close.push_back(id);
-          break;
-        }
-        if (conn.out_off >= conn.outbuf.size()) {
-          conn.outbuf.clear();
-          conn.out_off = 0;
-          if (conn.close_after_flush && !conn.busy) to_close.push_back(id);
-        }
-      } else if (conn.close_after_flush && !conn.busy) {
+      if (!FlushOutput(&conn)) {
+        to_close.push_back(id);
+      } else if (conn.out_off >= conn.outbuf.size() &&
+                 conn.close_after_flush && !conn.busy) {
         to_close.push_back(id);
       }
     }
     for (uint64_t id : to_close) {
       auto it = conns.find(id);
       if (it == conns.end()) continue;
-      close(it->second.fd);
+      {
+        std::lock_guard<std::mutex> guard(it->second->mu);
+        close(it->second->fd);
+        it->second->fd = -1;  // a worker still holding it skips the write
+      }
       conns.erase(it);
     }
 
@@ -1067,8 +1110,9 @@ int RunDaemon(const DaemonConfig& config) {
       bool output_pending = false;
       for (auto& [id, conn] : conns) {
         (void)id;
-        if (conn.busy) anyone_busy = true;
-        if (conn.out_off < conn.outbuf.size()) output_pending = true;
+        std::lock_guard<std::mutex> guard(conn->mu);
+        if (conn->busy) anyone_busy = true;
+        if (conn->out_off < conn->outbuf.size()) output_pending = true;
       }
       if ((queue_empty && !anyone_busy && !output_pending) ||
           NowMs() >= drain_deadline_ms) {
@@ -1088,7 +1132,7 @@ int RunDaemon(const DaemonConfig& config) {
   for (std::thread& w : workers) w.join();
   for (auto& [id, conn] : conns) {
     (void)id;
-    close(conn.fd);
+    close(conn->fd);
   }
   conns.clear();
   if (listening) close(server_fd);

@@ -349,6 +349,21 @@ void SpawnFleet(const std::string& tardisd, size_t n,
   }
 }
 
+/// Waits until every site's dialed replication connections are up. Gossip
+/// tolerates drops by design, so a commit broadcast before the mesh is up
+/// would silently miss its peers.
+void WaitMesh(const std::vector<int>& conns, const std::string& what) {
+  const std::string want = "PEERS " + std::to_string(conns.size() - 1);
+  if (!WaitFor([&] {
+        for (int fd : conns) {
+          if (Cmd(fd, "peers") != want) return false;
+        }
+        return true;
+      })) {
+    Die(what + " never fully connected");
+  }
+}
+
 /// Plain HTTP/1.0 GET against a daemon's --metrics-port; returns the body.
 std::string HttpGetMetrics(uint16_t port) {
   const int fd = ConnectTo(port, 5'000);
@@ -401,19 +416,10 @@ int RunConvergence(const std::string& tardisd) {
   };
 
   // Everyone alive, and every dialed replication connection established?
-  // Gossip tolerates drops by design, so a commit broadcast before the
-  // mesh is up would silently miss its peers.
   for (size_t i = 0; i < 3; i++) {
     if (at(i, "ping") != "PONG") Die("site did not answer ping");
   }
-  if (!WaitFor([&] {
-        for (size_t i = 0; i < 3; i++) {
-          if (at(i, "peers") != "PEERS 2") return false;
-        }
-        return true;
-      })) {
-    Die("replication mesh never fully connected");
-  }
+  WaitMesh(fleet.conns, "replication mesh");
   printf("== 3 tardisd processes up, replication mesh connected\n");
 
   // 1. One commit gossips everywhere.
@@ -735,6 +741,9 @@ int RunSessionRetry(const std::string& tardisd, const std::string& dir) {
   Fleet fleet;
   SpawnFleet(tardisd, 3, {"--dir=" + dir}, &fleet);
   g_fleet_pids = &fleet.pids;
+  // The failover in (c) kills site 0 before anti-entropy could repair a
+  // commit it gossiped too early.
+  WaitMesh(fleet.conns, "session-phase replication mesh");
 
   // a. Session writes through the library.
   tardis::client::TardisClientOptions opt;
@@ -943,15 +952,7 @@ int RunGrid(const std::string& tardisd, const std::string& router_bin,
         Die("grid site did not answer ping");
       }
     }
-    const int group = p;
-    if (!WaitFor([&] {
-          for (size_t i = 0; i < 3; i++) {
-            if (Cmd(groups[group].conns[i], "peers") != "PEERS 2") return false;
-          }
-          return true;
-        })) {
-      Die("partition group mesh never connected");
-    }
+    WaitMesh(groups[p].conns, "partition group mesh");
   }
   printf("== grid: 2 partition groups x 3 sites up, meshes connected\n");
 

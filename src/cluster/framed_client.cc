@@ -146,21 +146,24 @@ Status FramedClient::Call(const ReplMessage& req, ReplMessage* resp,
 
   std::string frame;
   EncodeFrame(req, &frame);
+  // Send first; wait for POLLOUT only once the socket buffer is full.
   size_t off = 0;
   while (off < frame.size()) {
-    Status s = WaitReady(fd_, POLLOUT, deadline_ms);
+    const ssize_t n =
+        send(fd_, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
+    if (n >= 0) {
+      off += static_cast<size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    const Status s =
+        errno == EAGAIN || errno == EWOULDBLOCK
+            ? WaitReady(fd_, POLLOUT, deadline_ms)
+            : Status::IOError("send: " + std::string(strerror(errno)));
     if (!s.ok()) {
       Close();
       return s;
     }
-    const ssize_t n =
-        send(fd_, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      Close();
-      return Status::IOError("send: " + std::string(strerror(errno)));
-    }
-    off += static_cast<size_t>(n);
   }
 
   for (;;) {

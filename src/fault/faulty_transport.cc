@@ -99,6 +99,15 @@ bool FaultyTransport::Receive(uint32_t site, ReplMessage* msg) {
   return true;
 }
 
+void FaultyTransport::WaitReceive(uint32_t site,
+                                  std::chrono::microseconds timeout) {
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    if (site < held_.size() && !held_[site].empty()) return;
+  }
+  base_->WaitReceive(site, timeout);
+}
+
 bool FaultyTransport::HasInflight() const {
   {
     std::lock_guard<std::mutex> guard(mu_);

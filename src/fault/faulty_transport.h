@@ -54,6 +54,10 @@ class FaultyTransport : public Transport {
   void Send(uint32_t from, uint32_t to, ReplMessage msg) override;
   void Broadcast(uint32_t from, ReplMessage msg) override;
   bool Receive(uint32_t site, ReplMessage* msg) override;
+  /// Forwards to the base, but returns at once while frames are held for
+  /// `site`: they age per Receive poll, so the receiver must keep polling.
+  void WaitReceive(uint32_t site, std::chrono::microseconds timeout) override;
+  void Interrupt(uint32_t site) override { base_->Interrupt(site); }
   bool HasInflight() const override;
 
   void Partition(uint32_t a, uint32_t b) override { base_->Partition(a, b); }

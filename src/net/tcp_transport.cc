@@ -110,6 +110,7 @@ Status TcpTransport::Listen() {
 
 void TcpTransport::Shutdown() {
   if (stop_.exchange(true)) return;
+  Interrupt(options_.site_id);  // ends a WaitReceive in progress
   Wake();
   if (io_.joinable()) io_.join();
   std::lock_guard<std::mutex> guard(mu_);
@@ -180,9 +181,15 @@ void TcpTransport::EnqueueEncoded(uint32_t to, const std::string& frame) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    const bool idle = pc->handshaked && pc->sendbuf.empty();
     pc->sendbuf.append(frame);
     pc->frame_lens.push_back(frame.size());
     sent_.fetch_add(1, std::memory_order_relaxed);
+    if (idle) {
+      // Write-through; the IO thread only handles a backlog or a drop.
+      FlushWrites(pc, NowMs());
+      if (pc->fd >= 0 && pc->sendbuf.empty()) return;
+    }
   }
   Wake();
 }
@@ -195,6 +202,22 @@ bool TcpTransport::Receive(uint32_t site, ReplMessage* msg) {
   inbox_.pop_front();
   delivered_.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+void TcpTransport::WaitReceive(uint32_t /*site*/,
+                               std::chrono::microseconds timeout) {
+  std::unique_lock<std::mutex> lock(mu_);
+  inbox_cv_.wait_for(lock, timeout, [this] {
+    return !inbox_.empty() || interrupted_ ||
+           stop_.load(std::memory_order_acquire);
+  });
+  interrupted_ = false;
+}
+
+void TcpTransport::Interrupt(uint32_t /*site*/) {
+  std::lock_guard<std::mutex> guard(mu_);
+  interrupted_ = true;
+  inbox_cv_.notify_all();
 }
 
 bool TcpTransport::HasInflight() const {
@@ -504,6 +527,7 @@ void TcpTransport::IoLoop() {
     }
 
     std::lock_guard<std::mutex> guard(mu_);
+    const size_t inbox_before = inbox_.size();
     const uint64_t after = NowMs();
     for (size_t p = 2; p < pfds.size(); p++) {
       const auto [kind, i] = index[p - 2];
@@ -591,6 +615,7 @@ void TcpTransport::IoLoop() {
     for (size_t i = inbound_.size(); i-- > 0;) {
       if (inbound_[i].fd < 0) inbound_.erase(inbound_.begin() + i);
     }
+    if (inbox_.size() > inbox_before) inbox_cv_.notify_one();
   }
 }
 

@@ -18,14 +18,17 @@
 // One background thread multiplexes all sockets with poll(2): the listen
 // socket, accepted inbound sockets (read side, frame reassembly +
 // decode), and dialed outbound sockets (connect completion + buffered
-// writes). Send/Broadcast enqueue encoded bytes under a mutex and wake
-// the thread through a self-pipe. A malformed inbound frame (bad CRC,
-// hostile length prefix, undecodable payload) closes that connection and
-// is otherwise ignored — a fuzzing peer cannot crash the daemon.
+// writes). Send/Broadcast write a frame through on the calling thread when
+// a handshaked peer has no backlog; otherwise they queue it and wake the
+// thread through a self-pipe. The inbox condvar ends WaitReceive. A
+// malformed inbound frame (bad CRC, hostile length prefix, undecodable
+// payload) closes that connection and is otherwise ignored — a fuzzing
+// peer cannot crash the daemon.
 
 #ifndef TARDIS_NET_TCP_TRANSPORT_H_
 #define TARDIS_NET_TCP_TRANSPORT_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -103,6 +106,9 @@ class TcpTransport : public Transport {
   void Send(uint32_t from, uint32_t to, ReplMessage msg) override;
   void Broadcast(uint32_t from, ReplMessage msg) override;
   bool Receive(uint32_t site, ReplMessage* msg) override;
+  /// Waits on the inbox (this endpoint has one, so `site` is not checked).
+  void WaitReceive(uint32_t site, std::chrono::microseconds timeout) override;
+  void Interrupt(uint32_t site) override;
   bool HasInflight() const override;
 
   /// Endpoint-local partition: suppresses outbound traffic to and
@@ -161,6 +167,8 @@ class TcpTransport : public Transport {
   std::vector<PeerConn> outbound_;          // one per peer
   std::vector<InboundConn> inbound_;        // accepted connections
   std::deque<ReplMessage> inbox_;           // decoded, awaiting Receive
+  std::condition_variable inbox_cv_;        // inbox_ grew, interrupt, stop
+  bool interrupted_ = false;                // guarded by mu_
   std::unordered_set<uint32_t> partitioned_;
 
   std::atomic<uint64_t> bytes_sent_{0};

@@ -17,6 +17,7 @@
 #define TARDIS_NET_TRANSPORT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -46,8 +47,16 @@ class Transport {
   virtual void Broadcast(uint32_t from, ReplMessage msg) = 0;
 
   /// Pops the next inbound message addressed to `site`. Returns false if
-  /// nothing is ready. Non-blocking; the Replicator pump polls this.
+  /// nothing is ready. Non-blocking.
   virtual bool Receive(uint32_t site, ReplMessage* msg) = 0;
+
+  /// Blocks until Receive(site) may succeed, Interrupt(site), shutdown,
+  /// or `timeout`; may return early, never late. The Replicator pump
+  /// sleeps here between messages and ticks.
+  virtual void WaitReceive(uint32_t site,
+                           std::chrono::microseconds timeout) = 0;
+  /// Ends the current (or the next) WaitReceive(site) at once.
+  virtual void Interrupt(uint32_t site) = 0;
 
   /// True if any message is queued anywhere (in flight, undelivered, or
   /// buffered for write). Used by quiescence checks in tests.

@@ -1,5 +1,7 @@
 #include "replication/network.h"
 
+#include <algorithm>
+
 namespace tardis {
 
 SimNetwork::SimNetwork(size_t num_sites, NetworkOptions options)
@@ -7,6 +9,8 @@ SimNetwork::SimNetwork(size_t num_sites, NetworkOptions options)
       options_(options),
       links_(num_sites * num_sites),
       partitioned_(num_sites * num_sites, false),
+      arrivals_(num_sites),
+      interrupted_(num_sites, false),
       rng_(options.seed) {}
 
 void SimNetwork::Send(uint32_t from, uint32_t to, ReplMessage msg) {
@@ -22,6 +26,7 @@ void SimNetwork::Send(uint32_t from, uint32_t to, ReplMessage msg) {
   links_[LinkIndex(from, to)].queue.push_back(
       {NowMicros() + delay, std::move(msg)});
   sent_.fetch_add(1, std::memory_order_relaxed);
+  arrivals_[to].notify_one();
 }
 
 void SimNetwork::Broadcast(uint32_t from, ReplMessage msg) {
@@ -64,6 +69,30 @@ bool SimNetwork::Receive(uint32_t site, ReplMessage* msg) {
   links_[best_link].queue.pop_front();
   delivered_.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+void SimNetwork::WaitReceive(uint32_t site, std::chrono::microseconds timeout) {
+  using Clock = std::chrono::steady_clock;  // NowMicros() reads this clock
+  const Clock::time_point end = Clock::now() + timeout;
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!interrupted_[site]) {
+    Clock::time_point until = end;  // or the earliest head message's due time
+    for (uint32_t from = 0; from < num_sites_; from++) {
+      const std::deque<InFlight>& queue = links_[LinkIndex(from, site)].queue;
+      if (queue.empty()) continue;
+      until = std::min(until, Clock::time_point(std::chrono::microseconds(
+                                  queue.front().deliver_at_us)));
+    }
+    if (Clock::now() >= until) break;
+    arrivals_[site].wait_until(lock, until);
+  }
+  interrupted_[site] = false;
+}
+
+void SimNetwork::Interrupt(uint32_t site) {
+  std::lock_guard<std::mutex> guard(mu_);
+  interrupted_[site] = true;
+  arrivals_[site].notify_all();
 }
 
 bool SimNetwork::HasInflight() const {

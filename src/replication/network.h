@@ -10,6 +10,7 @@
 #ifndef TARDIS_REPLICATION_NETWORK_H_
 #define TARDIS_REPLICATION_NETWORK_H_
 
+#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <vector>
@@ -45,6 +46,10 @@ class SimNetwork : public Transport {
   /// Returns false if nothing is due yet.
   bool Receive(uint32_t site, ReplMessage* msg) override;
 
+  /// Sleeps until a message for `site` is due; a Send re-arms the wait.
+  void WaitReceive(uint32_t site, std::chrono::microseconds timeout) override;
+  void Interrupt(uint32_t site) override;
+
   /// True if any message (due or in flight) is queued anywhere.
   bool HasInflight() const override;
 
@@ -71,6 +76,8 @@ class SimNetwork : public Transport {
   mutable std::mutex mu_;
   std::vector<Link> links_;
   std::vector<bool> partitioned_;  // per link
+  std::vector<std::condition_variable> arrivals_;  // per destination site
+  std::vector<bool> interrupted_;                  // per destination site
   Random rng_;
 };
 

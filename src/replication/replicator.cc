@@ -63,6 +63,9 @@ Replicator::Replicator(TardisStore* store, Transport* net, uint32_t site_id,
   peer_deaths_total_ = registry->RegisterCounter(
       "tardis_repl_peer_deaths_total",
       "Peers declared dead by the failure detector", site);
+  pump_wakeups_total_ = registry->RegisterCounter(
+      "tardis_repl_pump_wakeups_total",
+      "Times the pump thread woke for inbound messages or a tick", site);
   stage_repl_send_us_ = obs::RegisterStageHistogram(registry, "repl_send");
   registry->RegisterCallbackGauge(
       "tardis_repl_pending", "Commits currently waiting for a parent",
@@ -95,19 +98,20 @@ void Replicator::Start() {
   store_->SetCommitCallback(
       [this](const CommitRecord& record) { OnLocalCommit(record); });
   pump_ = std::thread([this] {
-    auto last_tick = std::chrono::steady_clock::now();
     const auto tick_every =
         std::chrono::milliseconds(std::max<uint64_t>(1, options_.tick_interval_ms));
+    auto next_tick = std::chrono::steady_clock::now() + tick_every;
     while (!stop_.load(std::memory_order_acquire)) {
-      const size_t handled = PumpOnce();
+      PumpOnce();
       const auto now = std::chrono::steady_clock::now();
-      if (now - last_tick >= tick_every) {
+      if (now >= next_tick) {
         Tick();
-        last_tick = now;
+        next_tick = now + tick_every;
+        continue;
       }
-      if (handled == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
+      net_->WaitReceive(site_id_, std::chrono::ceil<std::chrono::microseconds>(
+                                      next_tick - now));
+      pump_wakeups_total_->Increment();
     }
   });
 }
@@ -120,7 +124,10 @@ void Replicator::StartManual() {
 
 void Replicator::Stop() {
   if (stop_.exchange(true)) return;
-  if (pump_.joinable()) pump_.join();
+  if (pump_.joinable()) {
+    net_->Interrupt(site_id_);
+    pump_.join();
+  }
   store_->SetCommitCallback(nullptr);
 }
 

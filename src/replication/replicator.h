@@ -115,8 +115,8 @@ class Replicator {
   Replicator(const Replicator&) = delete;
   Replicator& operator=(const Replicator&) = delete;
 
-  /// Subscribes to the store's commit feed and starts the pump thread,
-  /// which also drives Tick() every tick_interval_ms.
+  /// Subscribes to the store's commit feed and starts the pump thread; it
+  /// sleeps in Transport::WaitReceive between messages and Tick()s.
   void Start();
   /// Subscribes to the commit feed WITHOUT spawning the pump thread; the
   /// caller drives delivery with PumpOnce() and time with Tick(). This
@@ -275,6 +275,7 @@ class Replicator {
   obs::Counter* orphans_evicted_total_ = nullptr;
   obs::Counter* ceiling_timeouts_total_ = nullptr;
   obs::Counter* peer_deaths_total_ = nullptr;
+  obs::Counter* pump_wakeups_total_ = nullptr;
   obs::HistogramMetric* stage_repl_send_us_ = nullptr;
 
   std::thread pump_;

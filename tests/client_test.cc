@@ -2,8 +2,8 @@
 // exactly-once session headers, failover, floor learning and degraded
 // reads — first against an in-process scripted server (deterministic
 // wire-level assertions), then the ERR BUSY / ERR DEADLINE retry
-// contract against a real tardisd with a tiny queue bound (set
-// TARDISD_BIN; skipped when absent).
+// contract and pipelined reply order against a real tardisd with a tiny
+// queue bound (TARDISD_BIN names the daemon; the tests fail without it).
 
 #include "client/tardis_client.h"
 
@@ -381,9 +381,13 @@ class DaemonGuard {
     return false;
   }
 
-  /// Raw connection to the daemon (for pinning the single worker).
-  int Dial() const {
+  /// Raw connection to the daemon (for pinning the single worker). A
+  /// nonzero `rcvbuf` shrinks the client's receive buffer before connect.
+  int Dial(int rcvbuf = 0) const {
     const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    if (rcvbuf > 0) {
+      setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -412,7 +416,7 @@ class DaemonGuard {
 
 TEST(TardisClientDaemonTest, BusyDeadlineContractEventualSuccess) {
   DaemonGuard daemon;
-  if (!daemon.Start()) GTEST_SKIP() << "TARDISD_BIN not set or not runnable";
+  ASSERT_TRUE(daemon.Start()) << "TARDISD_BIN not set or not runnable";
   signal(SIGPIPE, SIG_IGN);
 
   // Pin the only worker past the request deadline; the client's pings
@@ -450,7 +454,7 @@ TEST(TardisClientDaemonTest, BusyDeadlineContractEventualSuccess) {
 
 TEST(TardisClientDaemonTest, ClientDeadlinePropagates) {
   DaemonGuard daemon;
-  if (!daemon.Start()) GTEST_SKIP() << "TARDISD_BIN not set or not runnable";
+  ASSERT_TRUE(daemon.Start()) << "TARDISD_BIN not set or not runnable";
   signal(SIGPIPE, SIG_IGN);
 
   const int pin = daemon.Dial();
@@ -476,6 +480,68 @@ TEST(TardisClientDaemonTest, ClientDeadlinePropagates) {
   EXPECT_FALSE(s.ok());
   EXPECT_LT(NowMillis() - start, 2500u);
   ::close(pin);
+}
+
+TEST(TardisClientDaemonTest, PipelinedRepliesCompleteAndInOrder) {
+  DaemonGuard daemon;
+  ASSERT_TRUE(daemon.Start()) << "TARDISD_BIN not set or not runnable";
+  signal(SIGPIPE, SIG_IGN);
+
+  // One write carries every request, and nothing is read until they have
+  // all run: the `metrics prom` dumps (~7 MiB) overflow the daemon's
+  // socket send buffer (at most 4 MiB by default), so later replies queue
+  // behind a partial write. Every reply must still arrive whole and in
+  // request order.
+  constexpr int kDumps = 600;
+  std::string requests = "ping\nput pk pv\n";
+  for (int i = 0; i < kDumps; i++) requests += "metrics prom\n";
+  requests += "ping\nget pk\n";
+  const int fd = daemon.Dial(4096);
+  ASSERT_GE(fd, 0);
+  timeval recv_timeout{5, 0};  // a lost reply fails the test, not hangs it
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout, sizeof(recv_timeout));
+  ASSERT_EQ(write(fd, requests.data(), requests.size()),
+            static_cast<ssize_t>(requests.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  std::string in;
+  const uint64_t deadline = NowMillis() + 20'000;
+  const std::string last = "\nVALUE pv\n";
+  while (NowMillis() < deadline &&
+         (in.size() < last.size() ||
+          in.compare(in.size() - last.size(), last.size(), last) != 0)) {
+    char buf[65536];
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n <= 0) break;
+    in.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+
+  std::vector<std::string> lines;
+  for (size_t pos = 0; pos < in.size();) {
+    const size_t nl = in.find('\n', pos);
+    ASSERT_NE(nl, std::string::npos) << "torn final line";
+    lines.push_back(in.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  ASSERT_GE(lines.size(), 4u);
+  EXPECT_EQ(lines[0], "PONG");
+  EXPECT_EQ(lines[1], "OK");
+  size_t i = 2;
+  for (int dump = 0; dump < kDumps; dump++) {
+    size_t body_lines = 0;
+    while (i < lines.size() && lines[i] != "END") {
+      EXPECT_NE(lines[i].rfind("PONG", 0), 0u) << "reply out of order";
+      body_lines++;
+      i++;
+    }
+    ASSERT_LT(i, lines.size()) << "dump " << dump << " not terminated";
+    EXPECT_GT(body_lines, 10u);
+    i++;  // END
+  }
+  ASSERT_EQ(lines.size(), i + 2);
+  EXPECT_EQ(lines[i], "PONG");
+  EXPECT_EQ(lines[i + 1], "VALUE pv");
 }
 
 }  // namespace

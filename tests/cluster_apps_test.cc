@@ -178,8 +178,15 @@ TEST_F(ClusterAppsTest, RetwisConcurrentCrossSitePostsMerge) {
   ASSERT_TRUE(cluster_->WaitQuiescent());
 
   // Both sites post to user 1's timeline concurrently -> remote forks.
+  // The link is severed for the two posts: if site 0's broadcast landed
+  // before site 1's post began, the histories would linearize and no fork
+  // would form (a real scheduling, but not the one under test).
+  cluster_->network()->Partition(0, 1);
   ASSERT_TRUE(app0.PostTweet(c0.get(), 1, "from site 0").ok());
   ASSERT_TRUE(app1.PostTweet(c1.get(), 1, "from site 1").ok());
+  cluster_->network()->HealAll();
+  cluster_->replicator(0)->RequestSync();
+  cluster_->replicator(1)->RequestSync();
   ASSERT_TRUE(cluster_->WaitQuiescent());
   EXPECT_EQ(cluster_->site(0)->dag()->Leaves().size(), 2u);
 

@@ -3,6 +3,7 @@
 // prepare/decide/recovery state machine including fork-on-conflict.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -127,8 +128,10 @@ TEST(ParseEndpointTest, HostPortForms) {
 class TwoPcTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps parallel test processes apart: under TSan their heaps
+    // are laid out alike, so `this` alone collides.
     dir_ = (std::filesystem::temp_directory_path() /
-            ("tardis_cluster_test_" +
+            ("tardis_cluster_test_" + std::to_string(getpid()) + "_" +
              std::to_string(reinterpret_cast<uintptr_t>(this))))
                .string();
     std::filesystem::remove_all(dir_);

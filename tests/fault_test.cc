@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -423,6 +424,10 @@ TEST_F(FaultTest, FaultyTransportReordersAndLosslessDrains) {
   fault::FaultyTransport ft(&net, options);
   for (uint64_t i = 0; i < 8; i++) ft.Send(0, 1, MakeMsg(0, i));
   EXPECT_TRUE(ft.HasInflight());
+  // Held frames age per Receive poll, so a wait must not sleep past them.
+  const auto start = std::chrono::steady_clock::now();
+  ft.WaitReceive(1, std::chrono::seconds(5));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 
   // Lossless mode releases everything held on the next poll; no frame is
   // lost, only reordered.

@@ -1,11 +1,20 @@
 // CI check for the metric catalog: drives one in-memory store through a
 // fork + merge + GC cycle, then diffs the set of metric names the registry
-// exposes against the documented catalog (DESIGN.md §7). Exits nonzero and
-// prints the difference in both directions when the catalog drifts, so a
-// renamed or dropped series fails the build instead of silently breaking
-// dashboards.
+// exposes, and the stage labels of tardis_stage_micros, against the
+// documented catalog (DESIGN.md §7). The daemon-only stages are checked
+// on a live tardisd (TARDISD_BIN) scraped with `metrics prom`. Exits
+// nonzero and prints the difference in both directions when the catalog
+// drifts, so a renamed or dropped series fails the build instead of
+// silently breaking dashboards.
+
+#include <netinet/in.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +26,8 @@
 #include "core/tardis_store.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "replication/network.h"
+#include "replication/replicator.h"
 
 namespace {
 
@@ -83,7 +94,129 @@ const char* kExpectedNames[] = {
     "tardis_trie_merge_conflicts",
     "tardis_trie_fork_us",
     "tardis_trie_merge_us",
+    // Replication (src/replication/, DESIGN.md §6, §9): a replicator
+    // registers on its store's registry. The pump wakeup count shows an
+    // idle site's wakeup rate (about one per tick).
+    "tardis_repl_applied_total",
+    "tardis_repl_sent_total",
+    "tardis_repl_deferred_total",
+    "tardis_repl_heartbeats_sent_total",
+    "tardis_repl_repairs_sent_total",
+    "tardis_repl_snapshots_sent_total",
+    "tardis_repl_snapshots_applied_total",
+    "tardis_repl_orphans_evicted_total",
+    "tardis_repl_ceiling_timeouts_total",
+    "tardis_repl_peer_deaths_total",
+    "tardis_repl_pump_wakeups_total",
+    "tardis_repl_pending",
+    "tardis_repl_peer_state",
 };
+
+// Stage labels of tardis_stage_micros registered in this process: store,
+// 2PC participant, router and replicator.
+const char* kExpectedStages[] = {
+    "commit_select", "wal_fsync", "prepare_rtt", "decide_apply", "repl_send",
+};
+
+// Stages only tardisd's serving path registers: the wait for a worker and
+// the write of the reply to the client socket.
+const char* kDaemonStages[] = {"queue_wait", "reply_write"};
+
+/// Diffs `actual` against `expected` in both directions; returns 1 on
+/// drift.
+int DiffSets(const char* what, const std::set<std::string>& expected,
+             const std::set<std::string>& actual) {
+  int rc = 0;
+  for (const std::string& name : expected) {
+    if (actual.count(name) == 0) {
+      fprintf(stderr, "MISSING %s (in catalog, not exposed): %s\n", what,
+              name.c_str());
+      rc = 1;
+    }
+  }
+  for (const std::string& name : actual) {
+    if (expected.count(name) == 0) {
+      fprintf(stderr,
+              "UNDOCUMENTED %s (exposed, not in catalog): %s\n"
+              "  -> add it to the catalog here and to DESIGN.md §7\n",
+              what, name.c_str());
+      rc = 1;
+    }
+  }
+  return rc;
+}
+
+uint16_t FreePort() {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  socklen_t len = sizeof(addr);
+  getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  close(fd);
+  return ntohs(addr.sin_port);
+}
+
+/// Starts a standalone tardisd, scrapes `metrics prom`, and checks its
+/// stage labels against the catalog and that the pump wakeup counter is
+/// exposed. A missing or broken daemon binary fails the check.
+int CheckDaemon() {
+  const char* bin = getenv("TARDISD_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    fprintf(stderr, "FAIL: TARDISD_BIN is not set\n");
+    return 1;
+  }
+  const std::string client_port = std::to_string(FreePort());
+  // The peer list needs two sites; the second is never started.
+  const std::string peers = "--peers=127.0.0.1:" + std::to_string(FreePort()) +
+                            ",127.0.0.1:" + std::to_string(FreePort());
+  const pid_t pid = fork();
+  if (pid == 0) {
+    freopen("/dev/null", "w", stdout);
+    const std::string port_flag = "--client-port=" + client_port;
+    execl(bin, "tardisd", "--site=0", peers.c_str(), port_flag.c_str(),
+          static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  tardis::client::TardisClientOptions copt;
+  copt.endpoints = {"127.0.0.1:" + client_port};
+  copt.request_deadline_ms = 10'000;
+  copt.seed = 1;
+  std::string body;
+  const tardis::Status s = [&] {
+    tardis::client::TardisClient client(copt);
+    return client.CallMulti("metrics prom", &body);
+  }();
+  kill(pid, SIGKILL);
+  waitpid(pid, nullptr, 0);
+  if (!s.ok()) {
+    fprintf(stderr, "FAIL: scraping %s: %s\n", bin, s.ToString().c_str());
+    return 1;
+  }
+
+  std::set<std::string> stages;
+  const std::string key = "tardis_stage_micros";
+  const std::string label = "stage=\"";
+  for (size_t pos = body.find(key); pos != std::string::npos;
+       pos = body.find(key, pos + 1)) {
+    const size_t at = body.find(label, pos);
+    const size_t eol = body.find('\n', pos);
+    if (at == std::string::npos || at > eol) continue;
+    const size_t start = at + label.size();
+    stages.insert(body.substr(start, body.find('"', start) - start));
+  }
+  // A standalone daemon runs no router or 2PC participant.
+  std::set<std::string> expected(std::begin(kDaemonStages),
+                                 std::end(kDaemonStages));
+  expected.insert({"commit_select", "wal_fsync", "repl_send"});
+  int rc = DiffSets("tardisd stage", expected, stages);
+  if (body.find("tardis_repl_pump_wakeups_total") == std::string::npos) {
+    fprintf(stderr, "MISSING in tardisd: tardis_repl_pump_wakeups_total\n");
+    rc = 1;
+  }
+  return rc;
+}
 
 #define CHECK_OK(expr)                                                  \
   do {                                                                  \
@@ -170,30 +303,29 @@ int main() {
   copt.registry = store->metrics();
   client::TardisClient client(copt);
 
-  // Diff the exposed name set against the catalog.
+  // The replication series: a replicator over an in-process fabric.
+  // Construction registers them; the pump never starts.
+  SimNetwork net(2);
+  Replicator replicator(store.get(), &net, 0);
+
+  // Diff the exposed name and stage sets against the catalog.
   std::set<std::string> expected(std::begin(kExpectedNames),
                                  std::end(kExpectedNames));
   std::set<std::string> actual;
+  std::set<std::string> stages;
   const std::vector<obs::Sample> samples = store->metrics()->Collect();
-  for (const obs::Sample& s : samples) actual.insert(s.name);
-
-  int rc = 0;
-  for (const std::string& name : expected) {
-    if (actual.count(name) == 0) {
-      fprintf(stderr, "MISSING metric (in catalog, not exposed): %s\n",
-              name.c_str());
-      rc = 1;
+  for (const obs::Sample& s : samples) {
+    actual.insert(s.name);
+    if (s.name != "tardis_stage_micros") continue;
+    for (const auto& [key, value] : s.labels) {
+      if (key == "stage") stages.insert(value);
     }
   }
-  for (const std::string& name : actual) {
-    if (expected.count(name) == 0) {
-      fprintf(stderr,
-              "UNDOCUMENTED metric (exposed, not in catalog): %s\n"
-              "  -> add it to kExpectedNames here and to DESIGN.md §7\n",
-              name.c_str());
-      rc = 1;
-    }
-  }
+  int rc = DiffSets("metric", expected, actual);
+  rc |= DiffSets("stage", std::set<std::string>(std::begin(kExpectedStages),
+                                                std::end(kExpectedStages)),
+                 stages);
+  rc |= CheckDaemon();
 
   // The lifecycle counters must have seen the fork and the merge.
   const StoreStats stats = store->stats();

@@ -81,6 +81,78 @@ TEST(SimNetworkTest, NoSelfDelivery) {
   EXPECT_EQ(net.messages_sent(), 0u);
 }
 
+TEST(SimNetworkTest, WaitReceiveEndsAtHeadDeliverTime) {
+  NetworkOptions options;
+  options.latency_us = 30'000;  // 30 ms
+  SimNetwork net(2, options);
+  ReplMessage m;
+  const auto start = std::chrono::steady_clock::now();
+  net.Send(0, 1, m);
+  net.WaitReceive(1, std::chrono::seconds(1));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ReplMessage got;
+  EXPECT_TRUE(net.Receive(1, &got));  // due, not a timeout or early return
+  EXPECT_GE(waited, std::chrono::milliseconds(30));
+  EXPECT_LT(waited, std::chrono::milliseconds(300));
+}
+
+TEST(SimNetworkTest, SendAndInterruptEndWaitReceive) {
+  SimNetwork net(2);
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    net.Send(0, 1, ReplMessage());
+  });
+  auto start = std::chrono::steady_clock::now();
+  net.WaitReceive(1, std::chrono::seconds(5));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  sender.join();
+  ReplMessage got;
+  EXPECT_TRUE(net.Receive(1, &got));
+
+  // An interrupt posted before the wait ends the next wait at once.
+  net.Interrupt(1);
+  start = std::chrono::steady_clock::now();
+  net.WaitReceive(1, std::chrono::seconds(5));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+uint64_t PumpWakeups(TardisStore* store) {
+  for (const obs::Sample& s : store->metrics()->Collect()) {
+    if (s.name == "tardis_repl_pump_wakeups_total") return s.counter;
+  }
+  return 0;
+}
+
+TEST(ReplicatorPumpTest, IdlePumpSleepsAndStopWakesIt) {
+  auto store = TardisStore::Open(TardisOptions());
+  ASSERT_TRUE(store.ok());
+  SimNetwork net(2);
+  ReplicatorOptions options;
+  options.tick_interval_ms = 2'000;
+  Replicator replicator(store->get(), &net, 0, options);
+  replicator.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Event-driven: an idle pump wakes per message or tick, not per poll.
+  EXPECT_LE(PumpWakeups(store->get()), 2u);
+
+  // A message wakes it promptly.
+  ReplMessage heartbeat;
+  heartbeat.type = ReplMessage::Type::kHeartbeat;
+  net.Send(1, 0, std::move(heartbeat));
+  ASSERT_TRUE([&] {
+    for (int i = 0; i < 500 && net.HasInflight(); i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return !net.HasInflight();
+  }());
+
+  // Stop() interrupts the wait instead of sleeping out the 2-s tick.
+  const auto start = std::chrono::steady_clock::now();
+  replicator.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(200));
+}
+
 class ClusterTest : public ::testing::Test {
  protected:
   void Open(size_t sites = 2, GcCoordination gc = GcCoordination::kOptimistic) {

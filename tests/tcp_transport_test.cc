@@ -2,7 +2,8 @@
 // a two-site fork-then-merge replication scenario (mirroring
 // replication_test.cc's MergeReplicatesAndConverges, but across TCP),
 // peer death + reconnect with backoff, drop accounting while a peer is
-// down, and garbage bytes from a hostile client.
+// down, garbage bytes from a hostile client, the WaitReceive wakeups the
+// Replicator pump sleeps on, and frame order across write-through sends.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -102,6 +104,71 @@ TEST(TcpTransportTest, BroadcastSerializesOnceAndFansOut) {
     ASSERT_TRUE(WaitFor([&] { return (*t[i])->Receive(i, &got); }));
     EXPECT_EQ(got.ceiling_epoch, 77u);
   }
+}
+
+TEST(TcpTransportTest, WaitReceiveWakesOnFrameAndShutdown) {
+  using Clock = std::chrono::steady_clock;
+  const std::vector<uint16_t> ports = {PickFreePort(), PickFreePort()};
+  auto t0 = TcpTransport::Open(EndpointOptions(0, ports));
+  auto t1 = TcpTransport::Open(EndpointOptions(1, ports));
+  ASSERT_TRUE(t0.ok()) << t0.status().ToString();
+  ASSERT_TRUE(t1.ok()) << t1.status().ToString();
+  ASSERT_TRUE(WaitFor([&] { return (*t0)->IsConnected(1); }));
+
+  // A frame arriving ends a 1-s wait within a few ms.
+  Clock::time_point sent_at;
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    sent_at = Clock::now();
+    (*t0)->Send(0, 1, CeilingMsg(5));
+  });
+  (*t1)->WaitReceive(1, std::chrono::seconds(1));
+  Clock::time_point woke = Clock::now();
+  sender.join();
+  ReplMessage got;
+  ASSERT_TRUE((*t1)->Receive(1, &got));
+  EXPECT_EQ(got.ceiling_epoch, 5u);
+  EXPECT_LT(woke - sent_at, std::chrono::milliseconds(50));
+
+  // So does Shutdown.
+  Clock::time_point stopped_at;
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    stopped_at = Clock::now();
+    (*t1)->Shutdown();
+  });
+  (*t1)->WaitReceive(1, std::chrono::seconds(1));
+  woke = Clock::now();
+  stopper.join();
+  EXPECT_LT(woke - stopped_at, std::chrono::milliseconds(50));
+}
+
+TEST(TcpTransportTest, WriteThroughKeepsOrderPastSocketBuffer) {
+  // 40 x 256 KiB overflows the socket buffers: the sender writes through
+  // until a backlog forms, the IO thread drains it, and write-through
+  // resumes — the receiver must still see every frame once, in order.
+  const std::vector<uint16_t> ports = {PickFreePort(), PickFreePort()};
+  auto t0 = TcpTransport::Open(EndpointOptions(0, ports));
+  auto t1 = TcpTransport::Open(EndpointOptions(1, ports));
+  ASSERT_TRUE(t0.ok());
+  ASSERT_TRUE(t1.ok());
+  ASSERT_TRUE(WaitFor([&] { return (*t0)->IsConnected(1); }));
+  const auto value = std::make_shared<const std::string>(256 << 10, 'v');
+  constexpr uint64_t kFrames = 40;
+  for (uint64_t i = 1; i <= kFrames; i++) {
+    ReplMessage m;
+    m.commit.guid.seq = i;
+    m.commit.writes.emplace_back("k", value);
+    (*t0)->Send(0, 1, std::move(m));
+  }
+  ReplMessage got;
+  for (uint64_t i = 1; i <= kFrames; i++) {
+    ASSERT_TRUE(WaitFor([&] { return (*t1)->Receive(1, &got); }));
+    EXPECT_EQ(got.commit.guid.seq, i);
+    ASSERT_EQ(got.commit.writes.size(), 1u);
+    EXPECT_EQ(got.commit.writes[0].second->size(), value->size());
+  }
+  EXPECT_EQ((*t0)->messages_dropped(), 0u);
 }
 
 TEST(TcpTransportTest, DownPeerCountsDroppedNotFatal) {
