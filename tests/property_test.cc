@@ -29,8 +29,11 @@ namespace {
 
 // ---- sequential equivalence -------------------------------------------------
 
+// The end constraint is a std::string, not a const char*: gtest prints a
+// char-pointer parameter with its address, which would put a per-process
+// pointer into every test's listed name.
 class SequentialEquivalence
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
 TEST_P(SequentialEquivalence, MatchesMapModel) {
   const uint64_t seed = std::get<0>(GetParam());
@@ -107,11 +110,12 @@ TEST_P(SequentialEquivalence, MatchesMapModel) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, SequentialEquivalence,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
-                       ::testing::Values("ser", "si", "ser-nb")),
+                       ::testing::Values(std::string("ser"), std::string("si"),
+                                         std::string("ser-nb"))),
     [](const auto& info) {
-      return std::string(std::get<1>(info.param)) == "ser-nb"
+      return std::get<1>(info.param) == "ser-nb"
                  ? "SerNB_" + std::to_string(std::get<0>(info.param))
-                 : std::string(std::get<1>(info.param)) + "_" +
+                 : std::get<1>(info.param) + "_" +
                        std::to_string(std::get<0>(info.param));
     });
 
