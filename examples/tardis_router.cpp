@@ -21,25 +21,18 @@
 // are finished by the participants' cooperative termination, and no
 // acknowledged write is lost (asserted by the grid e2e).
 
-#include <netinet/in.h>
-#include <poll.h>
 #include <signal.h>
 #include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "cluster/framed_client.h"
 #include "cluster/router.h"
-#include "obs/http_exporter.h"
+#include "net/conn_server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -59,6 +52,11 @@ struct RouterConfig {
   bool help = false;
 };
 
+bool BadPort(const std::string& arg) {
+  fprintf(stderr, "tardis-router: %s: want a port in 1..65535\n", arg.c_str());
+  return false;
+}
+
 bool ParseFlags(int argc, char** argv, RouterConfig* config) {
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
@@ -67,9 +65,11 @@ bool ParseFlags(int argc, char** argv, RouterConfig* config) {
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
     if (const char* v = value("--port=")) {
-      config->port = static_cast<uint16_t>(atoi(v));
+      if (!cluster::ParsePort(v, &config->port)) return BadPort(arg);
     } else if (const char* v = value("--metrics-port=")) {
-      config->metrics_port = static_cast<uint16_t>(atoi(v));
+      if (!cluster::ParsePort(v, &config->metrics_port, /*allow_zero=*/true)) {
+        return BadPort(arg);
+      }
     } else if (const char* v = value("--partitions=")) {
       std::stringstream ss(v);
       std::string entry;
@@ -98,6 +98,15 @@ bool ParseFlags(int argc, char** argv, RouterConfig* config) {
 }
 
 int RunRouter(const RouterConfig& config) {
+  // SIGTERM/SIGINT are taken by sigwait below; blocked before any thread
+  // starts so that every thread inherits the mask.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+  signal(SIGPIPE, SIG_IGN);
+
   // Label this process's rows in a stitched cross-process Chrome trace.
   obs::Tracer::Get().SetProcessLabel("tardis-router");
   obs::MetricsRegistry registry;
@@ -130,85 +139,37 @@ int RunRouter(const RouterConfig& config) {
   cluster::Router router(std::move(map), std::move(router_options),
                          &registry);
 
-  std::unique_ptr<obs::MetricsHttpExporter> metrics_http;
-  if (config.metrics_port != 0) {
-    metrics_http = std::make_unique<obs::MetricsHttpExporter>(
-        config.metrics_port, &registry, "tardis-router");
-    if (!metrics_http->serving()) return 1;
+  // Router::Handle is not thread-safe (it owns the per-partition
+  // connections), so it runs inline on the server's one loop thread, one
+  // request at a time. Coordination traffic is control-plane volume — the
+  // data path is the partitions' own gossip.
+  ConnServer server;
+  auto port = server.Listen(
+      config.port, Splitter::Line(),
+      [&](const ConnPtr& conn, std::string line) {
+        bool close_conn = false;
+        std::string reply = router.Handle(line, &close_conn);
+        reply.push_back('\n');
+        server.Reply(conn, reply, close_conn);
+      });
+  Status listening = port.status();
+  if (listening.ok() && config.metrics_port != 0) {
+    listening =
+        ServeMetricsHttp(&server, config.metrics_port, &registry).status();
   }
-
-  const int server_fd = socket(AF_INET, SOCK_STREAM, 0);
-  int one = 1;
-  setsockopt(server_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = INADDR_ANY;
-  addr.sin_port = htons(config.port);
-  if (bind(server_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(server_fd, 64) != 0) {
-    fprintf(stderr, "tardis-router: port %u: %s\n", config.port,
-            strerror(errno));
+  if (!listening.ok()) {
+    fprintf(stderr, "tardis-router: %s\n", listening.ToString().c_str());
     return 1;
   }
-  signal(SIGPIPE, SIG_IGN);
+  server.Start();
 
   printf("tardis-router: serving %zu partition(s) on port %u%s\n",
          config.partitions.size(), config.port,
          config.metrics_port != 0 ? ", metrics via http" : "");
   fflush(stdout);
 
-  // One thread per client connection; Router::Handle is not thread-safe
-  // (it owns the per-partition connections), so a mutex serializes the
-  // command handling. Coordination traffic is control-plane volume — the
-  // data path is the partitions' own gossip.
-  std::mutex handle_mu;
-  while (true) {
-    const int fd = accept(server_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    std::thread([fd, &router, &handle_mu] {
-      std::string inbuf;
-      char chunk[65536];
-      while (true) {
-        size_t nl;
-        while ((nl = inbuf.find('\n')) == std::string::npos) {
-          const ssize_t n = read(fd, chunk, sizeof(chunk));
-          if (n <= 0) {
-            close(fd);
-            return;
-          }
-          inbuf.append(chunk, static_cast<size_t>(n));
-        }
-        std::string line = inbuf.substr(0, nl);
-        inbuf.erase(0, nl + 1);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-        bool close_conn = false;
-        std::string reply;
-        {
-          std::lock_guard<std::mutex> lock(handle_mu);
-          reply = router.Handle(line, &close_conn);
-        }
-        reply.push_back('\n');
-        size_t off = 0;
-        while (off < reply.size()) {
-          const ssize_t n = write(fd, reply.data() + off, reply.size() - off);
-          if (n <= 0) {
-            close(fd);
-            return;
-          }
-          off += static_cast<size_t>(n);
-        }
-        if (close_conn) {
-          close(fd);
-          return;
-        }
-      }
-    }).detach();
-  }
-  close(server_fd);
+  int sig = 0;
+  sigwait(&stop_signals, &sig);
   return 0;
 }
 

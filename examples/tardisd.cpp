@@ -73,11 +73,7 @@
 // header is rejected with retryable "ERR HEADER" — never silently
 // stripped, which would turn a dedupable write into a blind one.
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -100,9 +96,9 @@
 #include "cluster/framed_client.h"
 #include "cluster/twopc.h"
 #include "core/session.h"
+#include "net/conn_server.h"
 #include "net/tcp_transport.h"
 #include "obs/exposition.h"
-#include "obs/http_exporter.h"
 #include "obs/stage.h"
 #include "obs/trace.h"
 #include "replication/replicator.h"
@@ -111,18 +107,6 @@
 
 namespace tardis {
 namespace {
-
-void SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-uint64_t NowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 struct DaemonConfig {
   uint32_t site = 0;
@@ -159,17 +143,17 @@ bool ParseEndpoints(const std::string& list, std::vector<TcpPeer>* out) {
   std::string entry;
   uint32_t site = 0;
   while (std::getline(ss, entry, ',')) {
-    const size_t colon = entry.rfind(':');
-    if (colon == std::string::npos) return false;
     TcpPeer p;
     p.site = site++;
-    p.host = entry.substr(0, colon);
-    const int port = atoi(entry.c_str() + colon + 1);
-    if (port <= 0 || port > 65535) return false;
-    p.port = static_cast<uint16_t>(port);
+    if (!cluster::ParseEndpoint(entry, &p.host, &p.port).ok()) return false;
     out->push_back(std::move(p));
   }
   return out->size() >= 2;
+}
+
+bool BadPort(const std::string& arg) {
+  fprintf(stderr, "tardisd: %s: want a port in 1..65535\n", arg.c_str());
+  return false;
 }
 
 bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
@@ -184,9 +168,11 @@ bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
     } else if (const char* v = value("--peers=")) {
       if (!ParseEndpoints(v, &config->endpoints)) return false;
     } else if (const char* v = value("--client-port=")) {
-      config->client_port = static_cast<uint16_t>(atoi(v));
+      if (!cluster::ParsePort(v, &config->client_port)) return BadPort(arg);
     } else if (const char* v = value("--metrics-port=")) {
-      config->metrics_port = static_cast<uint16_t>(atoi(v));
+      if (!cluster::ParsePort(v, &config->metrics_port, /*allow_zero=*/true)) {
+        return BadPort(arg);
+      }
     } else if (const char* v = value("--gc-mode=")) {
       if (strcmp(v, "pessimistic") == 0) {
         config->gc_mode = GcCoordination::kPessimistic;
@@ -217,7 +203,9 @@ bool ParseFlags(int argc, char** argv, DaemonConfig* config) {
     } else if (const char* v = value("--partition=")) {
       config->partition = atoll(v);
     } else if (const char* v = value("--coord-port=")) {
-      config->coord_port = static_cast<uint16_t>(atoi(v));
+      if (!cluster::ParsePort(v, &config->coord_port, /*allow_zero=*/true)) {
+        return BadPort(arg);
+      }
     } else if (const char* v = value("--twopc-resolve-ms=")) {
       config->twopc_resolve_ms = static_cast<uint64_t>(atoll(v));
     } else if (const char* v = value("--slow-ms=")) {
@@ -288,11 +276,10 @@ std::string DoMerge(TardisStore* store, ClientSession* session,
   return "MERGED " + std::to_string(parents.size());
 }
 
-/// Daemon-wide request-path state shared between the accept loop, the
+/// Daemon-wide request-path state shared between the client handler, the
 /// worker pool and the `health` command.
 struct DaemonShared {
   std::atomic<uint64_t> queue_depth{0};
-  std::atomic<uint64_t> requests_total{0};
   std::atomic<uint64_t> shed_total{0};
   std::atomic<uint64_t> deadline_expired_total{0};
   std::atomic<bool> draining{false};
@@ -557,64 +544,25 @@ std::string ExecuteSessionLine(std::string line, TardisStore* store,
 
 // ---- request pipeline -----------------------------------------------------
 
-/// One client connection; the worker running its request holds a
-/// reference so it can write the reply itself (finish_request).
-struct ClientConn {
-  std::shared_ptr<ClientSession> session;  ///< set once at accept
-  std::mutex mu;             ///< guards every field below
-  int fd = -1;               ///< -1 once the poll loop closed it
-  std::string inbuf;
-  std::string outbuf;
-  size_t out_off = 0;
-  bool busy = false;         ///< one request in the pipeline (strict order)
-  bool close_after_flush = false;
-};
-
+/// One client request, queued for the worker pool. The worker answers it
+/// through ConnServer::Reply on its own thread.
 struct Request {
-  uint64_t conn_id = 0;
-  std::shared_ptr<ClientConn> conn;
+  ConnPtr conn;
   std::string line;
-  uint64_t enqueued_ms = 0;
-  uint64_t enqueued_us = 0;  ///< NowMicros() twin for the queue_wait stage
+  uint64_t enqueued_us = 0;  ///< NowMicros() at enqueue
 };
-
-/// Tells the poll loop to revisit a connection (or to start draining).
-struct Completion {
-  uint64_t conn_id = 0;
-  bool shutdown = false;
-};
-
-/// Writes as much of conn->outbuf as the socket takes; caller holds
-/// conn->mu. Returns false if the connection broke.
-bool FlushOutput(ClientConn* conn) {
-  while (conn->out_off < conn->outbuf.size()) {
-    const ssize_t n = write(conn->fd, conn->outbuf.data() + conn->out_off,
-                            conn->outbuf.size() - conn->out_off);
-    if (n > 0) {
-      conn->out_off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  conn->outbuf.clear();
-  conn->out_off = 0;
-  return true;
-}
-
-/// SIGTERM/SIGINT land here; the handler only writes one byte (async-
-/// signal-safe) to wake the poll loop into its drain path.
-int g_signal_pipe_w = -1;
-void OnTermSignal(int) {
-  const char b = 1;
-  if (g_signal_pipe_w >= 0) {
-    ssize_t ignored = write(g_signal_pipe_w, &b, 1);
-    (void)ignored;
-  }
-}
 
 int RunDaemon(const DaemonConfig& config) {
+  // SIGTERM/SIGINT, and the `shutdown` command, which raises SIGTERM, are
+  // taken by the sigwait that starts the drain. They are blocked before
+  // any thread starts so that every thread inherits the mask.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+  signal(SIGPIPE, SIG_IGN);
+
   SetLogSite(static_cast<int>(config.site));
   // Label this process's rows in a stitched cross-process Chrome trace.
   obs::Tracer::Get().SetProcessLabel(
@@ -749,96 +697,51 @@ int RunDaemon(const DaemonConfig& config) {
     shared.coord_port = coord_server->listen_port();
   }
 
-  const int server_fd = socket(AF_INET, SOCK_STREAM, 0);
-  int one = 1;
-  setsockopt(server_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = INADDR_ANY;
-  addr.sin_port = htons(config.client_port);
-  if (bind(server_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(server_fd, 64) != 0) {
-    fprintf(stderr, "tardisd: client port %u: %s\n", config.client_port,
-            strerror(errno));
-    return 1;
-  }
-  SetNonBlocking(server_fd);
-  std::unique_ptr<obs::MetricsHttpExporter> metrics_http;
-  if (config.metrics_port != 0) {
-    // registry outlives the exporter (reset before the final flush below).
-    metrics_http = std::make_unique<obs::MetricsHttpExporter>(
-        config.metrics_port, registry.get(), "tardisd");
-    if (!metrics_http->serving()) return 1;
-  }
-
-  // Request queue + completion queue.
+  // Requests wait here for the worker pool.
   std::mutex queue_mu;
   std::condition_variable queue_cv;
   std::deque<Request> queue;
   bool workers_stop = false;
 
-  std::mutex done_mu;
-  std::deque<Completion> done;
-  int done_pipe[2];
-  if (pipe(done_pipe) != 0) {
-    fprintf(stderr, "tardisd: pipe: %s\n", strerror(errno));
-    return 1;
-  }
-  SetNonBlocking(done_pipe[0]);
-  // A full pipe already holds a pending wakeup; a worker must never block.
-  SetNonBlocking(done_pipe[1]);
-
-  int sig_pipe[2];
-  if (pipe(sig_pipe) != 0) {
-    fprintf(stderr, "tardisd: pipe: %s\n", strerror(errno));
-    return 1;
-  }
-  SetNonBlocking(sig_pipe[0]);
-  g_signal_pipe_w = sig_pipe[1];
-  struct sigaction sa{};
-  sa.sa_handler = OnTermSignal;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-  signal(SIGPIPE, SIG_IGN);
-
-  auto post_completion = [&](Completion c) {
-    {
-      std::lock_guard<std::mutex> guard(done_mu);
-      done.push_back(c);
-    }
-    const char b = 1;
-    ssize_t ignored = write(done_pipe[1], &b, 1);
-    (void)ignored;
-  };
-
-  // Reply write-through: the worker appends the reply behind any unsent
-  // bytes and writes it itself. The poll loop is woken only for leftover
-  // bytes, a pipelined request, a close, or a drain.
-  auto finish_request = [&](const Request& req, const std::string& reply,
-                            bool close_conn, bool shutdown) {
-    bool wake = shutdown || shared.draining.load();
-    {
-      obs::StageTimer stage(reply_write_stage, "reply_write");
-      ClientConn& conn = *req.conn;
-      std::lock_guard<std::mutex> guard(conn.mu);
-      conn.busy = false;
-      if (conn.fd >= 0) {
-        conn.outbuf += reply;
-        conn.outbuf.push_back('\n');
-        if (close_conn) conn.close_after_flush = true;
-        if (!FlushOutput(&conn)) {
-          conn.outbuf.clear();
-          conn.out_off = 0;
-          conn.close_after_flush = true;
+  // One ConnServer serves the client and metrics ports; the coordination
+  // port runs on its own (CoordServer). The client handler runs on the
+  // loop thread: it only queues the line, or sheds it.
+  ConnServer server;
+  auto client_port = server.Listen(
+      config.client_port, Splitter::Line(),
+      [&](const ConnPtr& conn, std::string line) {
+        if (shared.draining.load()) {
+          server.Reply(conn,
+                       "ERR SHUTTING_DOWN site draining; retry elsewhere\n");
+          return;
         }
-        wake = wake || conn.close_after_flush ||
-               conn.out_off < conn.outbuf.size() ||
-               conn.inbuf.find('\n') != std::string::npos;
-      }
-    }
-    if (wake) post_completion({req.conn_id, shutdown});
-  };
+        if (conn->context == nullptr) conn->context = (*store)->CreateSession();
+        {
+          std::lock_guard<std::mutex> guard(queue_mu);
+          if (queue.size() < config.max_queue) {
+            queue.push_back({conn, std::move(line), NowMicros()});
+            shared.queue_depth.fetch_add(1);
+            queue_cv.notify_one();
+            return;
+          }
+        }
+        // Load shedding: bounded queue, retryable refusal. The client
+        // backs off and resends instead of the daemon buffering without
+        // limit.
+        shared.shed_total.fetch_add(1);
+        shed_counter->Increment();
+        server.Reply(conn, "ERR BUSY queue full; retry\n");
+      });
+  Status listening = client_port.status();
+  if (listening.ok() && config.metrics_port != 0) {
+    listening = ServeMetricsHttp(&server, config.metrics_port, registry.get())
+                    .status();
+  }
+  if (!listening.ok()) {
+    fprintf(stderr, "tardisd: %s\n", listening.ToString().c_str());
+    return 1;
+  }
+  server.Start();
 
   std::vector<std::thread> workers;
   for (uint32_t w = 0; w < config.workers; w++) {
@@ -851,8 +754,8 @@ int RunDaemon(const DaemonConfig& config) {
           if (workers_stop && queue.empty()) return;
           req = std::move(queue.front());
           queue.pop_front();
+          shared.queue_depth.fetch_sub(1);
         }
-        shared.queue_depth.fetch_sub(1);
         std::string reply;
         bool close_conn = false;
         bool shutdown = false;
@@ -864,7 +767,8 @@ int RunDaemon(const DaemonConfig& config) {
         obs::StripTraceHeader(&req.line, &ctx);
         obs::TraceContextScope bind_trace(ctx);
         if (config.request_deadline_ms > 0 &&
-            NowMs() - req.enqueued_ms > config.request_deadline_ms) {
+            NowMicros() - req.enqueued_us >
+                config.request_deadline_ms * 1000) {
           // The request aged out while queued; answering it now would just
           // add latency on top of overload. Tell the client to retry.
           shared.deadline_expired_total.fetch_add(1);
@@ -883,9 +787,10 @@ int RunDaemon(const DaemonConfig& config) {
           {
             TARDIS_TRACE_SPAN("daemon", "request");
             reply = ExecuteSessionLine(
-                req.line, store->get(), req.conn->session.get(), &replicator,
-                transport->get(), config.site, registry.get(), &shared,
-                &close_conn, &shutdown);
+                req.line, store->get(),
+                static_cast<ClientSession*>(req.conn->context.get()),
+                &replicator, transport->get(), config.site, registry.get(),
+                &shared, &close_conn, &shutdown);
           }
           const uint64_t total_us = NowMicros() - start_us;
           if (config.slow_ms > 0 && total_us >= config.slow_ms * 1000) {
@@ -900,7 +805,12 @@ int RunDaemon(const DaemonConfig& config) {
                 breakdown.Format().c_str());
           }
         }
-        finish_request(req, reply, close_conn, shutdown);
+        {
+          obs::StageTimer stage(reply_write_stage, "reply_write");
+          reply.push_back('\n');
+          server.Reply(req.conn, reply, close_conn);
+        }
+        if (shutdown) kill(getpid(), SIGTERM);
       }
     });
   }
@@ -920,206 +830,16 @@ int RunDaemon(const DaemonConfig& config) {
   printf("\n");
   fflush(stdout);
 
-  std::map<uint64_t, std::shared_ptr<ClientConn>> conns;
-  uint64_t next_conn_id = 1;
-  bool listening = true;
-  uint64_t drain_deadline_ms = 0;
-  constexpr size_t kMaxInbuf = 1u << 20;  // a hostile client cannot OOM us
-
-  auto begin_drain = [&] {
-    if (shared.draining.exchange(true)) return;
+  int sig = 0;
+  sigwait(&stop_signals, &sig);
+  shared.draining.store(true);
+  {
+    std::lock_guard<std::mutex> guard(queue_mu);
     TARDIS_INFO("site %u: draining (listen closed, %zu queued)", config.site,
                 queue.size());
-    if (listening) {
-      close(server_fd);
-      listening = false;
-    }
-    drain_deadline_ms = NowMs() + 10'000;
-  };
-
-  // Parses complete lines off a connection's inbuf; dispatches at most one
-  // request at a time per connection so replies stay in order. Caller
-  // holds conn->mu.
-  auto pump_conn = [&](uint64_t id, const std::shared_ptr<ClientConn>& ptr) {
-    ClientConn& conn = *ptr;
-    while (!conn.busy && !conn.close_after_flush) {
-      const size_t nl = conn.inbuf.find('\n');
-      if (nl == std::string::npos) break;
-      std::string line = conn.inbuf.substr(0, nl);
-      conn.inbuf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      if (shared.draining.load()) {
-        conn.outbuf += "ERR SHUTTING_DOWN site draining; retry elsewhere\n";
-        continue;
-      }
-      bool shed = false;
-      {
-        std::lock_guard<std::mutex> guard(queue_mu);
-        if (queue.size() >= config.max_queue) {
-          shed = true;
-        } else {
-          Request req;
-          req.conn_id = id;
-          req.conn = ptr;
-          req.line = std::move(line);
-          req.enqueued_ms = NowMs();
-          req.enqueued_us = NowMicros();
-          queue.push_back(std::move(req));
-        }
-      }
-      if (shed) {
-        // Load shedding: bounded queue, retryable refusal. The client
-        // backs off and resends instead of the daemon buffering without
-        // limit.
-        shared.shed_total.fetch_add(1);
-        shed_counter->Increment();
-        conn.outbuf += "ERR BUSY queue full; retry\n";
-        continue;
-      }
-      shared.queue_depth.fetch_add(1);
-      shared.requests_total.fetch_add(1);
-      conn.busy = true;
-      queue_cv.notify_one();
-    }
-  };
-
-  bool exiting = false;
-  while (!exiting) {
-    std::vector<pollfd> pfds;
-    std::vector<uint64_t> conn_ids;
-    pfds.push_back({sig_pipe[0], POLLIN, 0});
-    pfds.push_back({done_pipe[0], POLLIN, 0});
-    pfds.push_back({listening ? server_fd : -1, POLLIN, 0});
-    for (auto& [id, conn] : conns) {
-      std::lock_guard<std::mutex> guard(conn->mu);
-      short events = POLLIN;
-      if (conn->out_off < conn->outbuf.size()) events |= POLLOUT;
-      pfds.push_back({conn->fd, events, 0});
-      conn_ids.push_back(id);
-    }
-
-    const int rc = poll(pfds.data(), pfds.size(), 100);
-    if (rc < 0 && errno != EINTR) {
-      TARDIS_WARN("site %u: poll: %s", config.site, strerror(errno));
-    }
-
-    if (pfds[0].revents & POLLIN) {  // SIGTERM/SIGINT
-      char buf[16];
-      while (read(sig_pipe[0], buf, sizeof(buf)) > 0) {
-      }
-      begin_drain();
-    }
-
-    if (pfds[1].revents & POLLIN) {  // worker completions with work left
-      char buf[64];
-      while (read(done_pipe[0], buf, sizeof(buf)) > 0) {
-      }
-      std::deque<Completion> finished;
-      {
-        std::lock_guard<std::mutex> guard(done_mu);
-        finished.swap(done);
-      }
-      for (const Completion& c : finished) {
-        if (c.shutdown) begin_drain();
-        auto it = conns.find(c.conn_id);
-        if (it == conns.end()) continue;  // client went away mid-request
-        std::lock_guard<std::mutex> guard(it->second->mu);
-        pump_conn(c.conn_id, it->second);
-      }
-    }
-
-    if (listening && (pfds[2].revents & POLLIN)) {
-      while (true) {
-        const int fd = accept(server_fd, nullptr, nullptr);
-        if (fd < 0) break;
-        SetNonBlocking(fd);
-        auto conn = std::make_shared<ClientConn>();
-        conn->fd = fd;
-        conn->session = (*store)->CreateSession();
-        conns.emplace(next_conn_id++, std::move(conn));
-      }
-    }
-
-    std::vector<uint64_t> to_close;
-    for (size_t p = 3; p < pfds.size(); p++) {
-      const uint64_t id = conn_ids[p - 3];
-      auto it = conns.find(id);
-      if (it == conns.end()) continue;
-      ClientConn& conn = *it->second;
-      std::lock_guard<std::mutex> guard(conn.mu);
-      const short revents = pfds[p].revents;
-      if (revents & (POLLERR | POLLHUP)) {
-        // POLLHUP with pending output: try to flush once below anyway.
-        if (conn.out_off >= conn.outbuf.size()) {
-          to_close.push_back(id);
-          continue;
-        }
-      }
-      if (revents & POLLIN) {
-        char chunk[65536];
-        bool eof = false;
-        while (true) {
-          const ssize_t n = read(conn.fd, chunk, sizeof(chunk));
-          if (n > 0) {
-            conn.inbuf.append(chunk, static_cast<size_t>(n));
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (n < 0 && errno == EINTR) continue;
-          eof = true;
-          break;
-        }
-        if (conn.inbuf.size() > kMaxInbuf) {
-          conn.outbuf += "ERR line too long\n";
-          conn.close_after_flush = true;
-        } else {
-          pump_conn(id, it->second);
-        }
-        if (eof && !conn.busy && conn.out_off >= conn.outbuf.size()) {
-          to_close.push_back(id);
-          continue;
-        }
-        if (eof) conn.close_after_flush = true;
-      }
-      if (!FlushOutput(&conn)) {
-        to_close.push_back(id);
-      } else if (conn.out_off >= conn.outbuf.size() &&
-                 conn.close_after_flush && !conn.busy) {
-        to_close.push_back(id);
-      }
-    }
-    for (uint64_t id : to_close) {
-      auto it = conns.find(id);
-      if (it == conns.end()) continue;
-      {
-        std::lock_guard<std::mutex> guard(it->second->mu);
-        close(it->second->fd);
-        it->second->fd = -1;  // a worker still holding it skips the write
-      }
-      conns.erase(it);
-    }
-
-    if (shared.draining.load()) {
-      bool queue_empty;
-      {
-        std::lock_guard<std::mutex> guard(queue_mu);
-        queue_empty = queue.empty();
-      }
-      bool anyone_busy = false;
-      bool output_pending = false;
-      for (auto& [id, conn] : conns) {
-        (void)id;
-        std::lock_guard<std::mutex> guard(conn->mu);
-        if (conn->busy) anyone_busy = true;
-        if (conn->out_off < conn->outbuf.size()) output_pending = true;
-      }
-      if ((queue_empty && !anyone_busy && !output_pending) ||
-          NowMs() >= drain_deadline_ms) {
-        exiting = true;
-      }
-    }
   }
+  server.BeginDrain();
+  server.WaitDrained(10'000);
 
   // Drain epilogue: stop the workers, persist everything local, and give
   // the transport a moment to push out the final gossip so peers do not
@@ -1130,13 +850,7 @@ int RunDaemon(const DaemonConfig& config) {
   }
   queue_cv.notify_all();
   for (std::thread& w : workers) w.join();
-  for (auto& [id, conn] : conns) {
-    (void)id;
-    close(conn->fd);
-  }
-  conns.clear();
-  if (listening) close(server_fd);
-  metrics_http.reset();
+  server.Stop();
   // Coord traffic stops before the final flush; staged-but-undecided 2PC
   // transactions die with the process and are re-resolved from twopc.log
   // on restart.
@@ -1147,17 +861,12 @@ int RunDaemon(const DaemonConfig& config) {
     TARDIS_WARN("site %u: final flush: %s", config.site,
                 flush_status.ToString().c_str());
   }
-  const uint64_t gossip_deadline = NowMs() + 2'000;
-  while ((*transport)->HasInflight() && NowMs() < gossip_deadline) {
+  const uint64_t gossip_deadline = NowMillis() + 2'000;
+  while ((*transport)->HasInflight() && NowMillis() < gossip_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   replicator.Stop();
   (*transport)->Shutdown();
-  close(done_pipe[0]);
-  close(done_pipe[1]);
-  g_signal_pipe_w = -1;
-  close(sig_pipe[0]);
-  close(sig_pipe[1]);
   TARDIS_INFO("site %u: drained, exiting", config.site);
   return 0;
 }

@@ -1,97 +1,45 @@
 #include "cluster/coord_server.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-
 #include "net/wire.h"
 #include "obs/trace.h"
-#include "util/clock.h"
-#include "util/logging.h"
 
 namespace tardis {
 namespace cluster {
-
-namespace {
-
-struct Conn {
-  int fd = -1;
-  std::string inbuf;
-  std::string outbuf;
-  size_t out_off = 0;
-};
-
-/// A hostile peer cannot buffer unbounded bytes: wire frames are already
-/// capped at kMaxWirePayload, so anything past one max frame plus header
-/// is a protocol violation.
-constexpr size_t kMaxInbuf = kMaxWirePayload + kWireHeaderBytes;
-
-}  // namespace
 
 StatusOr<std::unique_ptr<CoordServer>> CoordServer::Start(
     TardisStore* store, TwoPhaseParticipant* participant,
     CoordServerOptions options) {
   std::unique_ptr<CoordServer> server(
       new CoordServer(store, participant, std::move(options)));
-  Status s = server->Listen();
-  if (!s.ok()) return s;
-  server->stop_.store(false);
-  server->thread_ = std::thread([raw = server.get()] { raw->Serve(); });
+  CoordServer* raw = server.get();
+  auto port = raw->server_.Listen(
+      raw->options_.port, Splitter::Frame(),
+      [raw](const ConnPtr& conn, std::string payload) {
+        ReplMessage req;
+        if (!DecodeReplMessage(Slice(payload), &req).ok()) {
+          raw->server_.Reply(conn, "", /*close=*/true);
+          return;
+        }
+        ReplMessage reply;
+        raw->Dispatch(req, &reply);
+        std::string frame;
+        EncodeFrame(reply, &frame);
+        raw->server_.Reply(conn, frame);
+      });
+  if (!port.ok()) return port.status();
+  raw->listen_port_ = *port;
+  raw->server_.Start();
   return server;
 }
 
 CoordServer::CoordServer(TardisStore* store, TwoPhaseParticipant* participant,
                          CoordServerOptions options)
-    : store_(store), participant_(participant), options_(std::move(options)) {}
-
-CoordServer::~CoordServer() { Shutdown(); }
-
-void CoordServer::Shutdown() {
-  if (stop_.exchange(true)) return;
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  if (thread_.joinable()) thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-Status CoordServer::Listen() {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError("socket: " + std::string(strerror(errno)));
-  }
-  int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = INADDR_ANY;
-  addr.sin_port = htons(options_.port);
-  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(listen_fd_, 16) != 0) {
-    Status s = Status::IOError("coord port " + std::to_string(options_.port) +
-                               ": " + strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    listen_port_ = ntohs(addr.sin_port);
-  }
-  const int flags = fcntl(listen_fd_, F_GETFL, 0);
-  if (flags >= 0) fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
-  return Status::OK();
-}
+    : store_(store),
+      participant_(participant),
+      options_(std::move(options)),
+      server_(ConnServer::Options{
+          options_.resolve_interval_ms,
+          [this] { participant_->ResolveInDoubt(); }}) {}
 
 std::string CoordServer::ApplyWriteSet(const ReplMessage& req) {
   // Exactly-once: a retried sessioned write answers from the dedup table
@@ -124,7 +72,6 @@ std::string CoordServer::ApplyWriteSet(const ReplMessage& req) {
 }
 
 void CoordServer::Dispatch(const ReplMessage& req, ReplMessage* reply) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
   // Adopt the frame's trace context for the whole dispatch: the store /
   // 2PC / replication work below runs on this thread, so its spans (and
   // any frames it sends onward) join the router's trace.
@@ -169,123 +116,6 @@ void CoordServer::Dispatch(const ReplMessage& req, ReplMessage* reply) {
     reply->txn_id = req.txn_id;
     reply->text = "ERR " + s.ToString();
   }
-}
-
-void CoordServer::Serve() {
-  std::vector<Conn> conns;
-  uint64_t next_resolve_ms =
-      options_.resolve_interval_ms == 0
-          ? 0
-          : NowMillis() + options_.resolve_interval_ms;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    std::vector<pollfd> pfds;
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    for (const Conn& c : conns) {
-      short events = POLLIN;
-      if (c.out_off < c.outbuf.size()) events |= POLLOUT;
-      pfds.push_back({c.fd, events, 0});
-    }
-    const int rc = poll(pfds.data(), pfds.size(), 100);
-    if (rc < 0 && errno != EINTR) {
-      TARDIS_WARN("coord: poll: %s", strerror(errno));
-    }
-
-    if (pfds[0].revents & POLLIN) {
-      while (true) {
-        const int fd = accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        const int flags = fcntl(fd, F_GETFL, 0);
-        if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-        int one = 1;
-        setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        Conn c;
-        c.fd = fd;
-        conns.push_back(std::move(c));
-      }
-    }
-
-    std::vector<size_t> dead;
-    // pfds was built before this round's accepts, so only the first
-    // pfds.size()-1 connections have poll results; connections accepted
-    // above are picked up by the next poll.
-    for (size_t i = 0; i + 1 < pfds.size(); i++) {
-      Conn& c = conns[i];
-      const short revents = pfds[i + 1].revents;
-      if (revents & (POLLERR | POLLNVAL)) {
-        dead.push_back(i);
-        continue;
-      }
-      if (revents & POLLIN) {
-        char buf[65536];
-        bool eof = false;
-        while (true) {
-          const ssize_t n = read(c.fd, buf, sizeof(buf));
-          if (n > 0) {
-            c.inbuf.append(buf, static_cast<size_t>(n));
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (n < 0 && errno == EINTR) continue;
-          eof = true;
-          break;
-        }
-        bool corrupt = c.inbuf.size() > kMaxInbuf;
-        while (!corrupt) {
-          ReplMessage req;
-          size_t consumed = 0;
-          Status s = DecodeFrame(Slice(c.inbuf), &req, &consumed);
-          if (!s.ok()) {
-            corrupt = true;
-            break;
-          }
-          if (consumed == 0) break;  // incomplete frame, wait for bytes
-          c.inbuf.erase(0, consumed);
-          ReplMessage reply;
-          Dispatch(req, &reply);
-          EncodeFrame(reply, &c.outbuf);
-        }
-        if (corrupt || (eof && c.out_off >= c.outbuf.size())) {
-          dead.push_back(i);
-          continue;
-        }
-      } else if (revents & POLLHUP) {
-        if (c.out_off >= c.outbuf.size()) {
-          dead.push_back(i);
-          continue;
-        }
-      }
-      while (c.out_off < c.outbuf.size()) {
-        const ssize_t n = write(c.fd, c.outbuf.data() + c.out_off,
-                                c.outbuf.size() - c.out_off);
-        if (n > 0) {
-          c.out_off += static_cast<size_t>(n);
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (n < 0 && errno == EINTR) continue;
-        dead.push_back(i);
-        break;
-      }
-      if (c.out_off >= c.outbuf.size()) {
-        c.outbuf.clear();
-        c.out_off = 0;
-      }
-    }
-    // Close back-to-front so indices stay valid; dead is ascending and
-    // may hold duplicates for a connection that failed twice above.
-    for (size_t j = dead.size(); j-- > 0;) {
-      const size_t i = dead[j];
-      if (j + 1 < dead.size() && dead[j + 1] == i) continue;
-      ::close(conns[i].fd);
-      conns.erase(conns.begin() + static_cast<long>(i));
-    }
-
-    if (next_resolve_ms != 0 && NowMillis() >= next_resolve_ms) {
-      participant_->ResolveInDoubt();
-      next_resolve_ms = NowMillis() + options_.resolve_interval_ms;
-    }
-  }
-  for (Conn& c : conns) ::close(c.fd);
 }
 
 }  // namespace cluster

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdlib>
 
 #include "net/wire.h"
@@ -63,16 +64,23 @@ Status ParseEndpoint(const std::string& endpoint, std::string* host,
     return Status::InvalidArgument("endpoint must be host:port, got \"" +
                                    endpoint + "\"");
   }
-  const std::string port_str = endpoint.substr(colon + 1);
-  char* end = nullptr;
-  const unsigned long p = strtoul(port_str.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || p == 0 || p > 65535) {
+  if (!ParsePort(endpoint.substr(colon + 1), port)) {
     return Status::InvalidArgument("bad port in endpoint \"" + endpoint +
                                    "\"");
   }
   *host = endpoint.substr(0, colon);
-  *port = static_cast<uint16_t>(p);
   return Status::OK();
+}
+
+bool ParsePort(const std::string& text, uint16_t* port, bool allow_zero) {
+  char* end = nullptr;
+  const unsigned long p = strtoul(text.c_str(), &end, 10);
+  if (text.empty() || !isdigit(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || (p == 0 && !allow_zero) || p > 65535) {
+    return false;
+  }
+  *port = static_cast<uint16_t>(p);
+  return true;
 }
 
 FramedClient::~FramedClient() { Close(); }

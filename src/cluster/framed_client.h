@@ -30,6 +30,12 @@ namespace cluster {
 Status ParseEndpoint(const std::string& endpoint, std::string* host,
                      uint16_t* port);
 
+/// Parses a decimal TCP port in 1..65535 (0 too if `allow_zero`, for
+/// flags where 0 means "disabled"); false on anything else: empty, signs,
+/// trailing characters, out of range.
+bool ParsePort(const std::string& text, uint16_t* port,
+               bool allow_zero = false);
+
 class FramedClient {
  public:
   FramedClient() = default;

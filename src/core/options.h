@@ -15,7 +15,7 @@ namespace tardis {
 
 /// Record storage backend of a site (DESIGN.md §12).
 enum class RecordBackend {
-  kDefault,  ///< derive from use_btree + dir (backwards compatible)
+  kDefault,  ///< btree when a dir is set, mem otherwise
   kMem,      ///< std::map in memory (the TARDiS-MDB analogue)
   kBTree,    ///< disk-backed B+Tree (the TARDiS-BDB analogue); needs a dir
   kTrie,     ///< copy-on-write trie (fork-native, in-memory)
@@ -49,17 +49,12 @@ struct TardisOptions {
   /// in-memory and non-durable (handy for tests and benchmarks).
   std::string dir;
 
-  /// Record persistence backend: true selects the disk-backed B+Tree
-  /// (the TARDiS-BDB configuration); false the in-memory store (the
-  /// TARDiS-MDB configuration). Ignored (forced false) when dir is empty.
-  /// Superseded by `backend` when that is not kDefault.
-  bool use_btree = true;
-
-  /// Record backend selection. kDefault keeps the historical use_btree
-  /// semantics; kTrie selects the copy-on-write trie, which additionally
-  /// serves O(1) branch forks and O(diff) 3-way merges to the core when
-  /// the store is fully in-memory (dir empty). kBTree without a dir
-  /// degrades to kMem, mirroring use_btree.
+  /// Record backend selection. kDefault selects the disk-backed B+Tree
+  /// (the TARDiS-BDB configuration) when dir is set and the in-memory
+  /// store (the TARDiS-MDB configuration) otherwise; kTrie selects the
+  /// copy-on-write trie, which additionally serves O(1) branch forks and
+  /// O(diff) 3-way merges to the core when the store is fully in-memory
+  /// (dir empty). kBTree without a dir degrades to kMem.
   RecordBackend backend = RecordBackend::kDefault;
 
   /// Write the commit log (required for recovery). Needs a non-empty dir.
@@ -76,7 +71,8 @@ struct TardisOptions {
   /// Number of record-store partitions (§6.4's data-partitioning sketch:
   /// the State DAG stays collocated with the transaction manager; record
   /// payloads hash-shard across independent B+Trees, each with its own
-  /// file and lock domain). 1 = unsharded. Requires use_btree and a dir.
+  /// file and lock domain). 1 = unsharded. Requires the btree backend
+  /// (kDefault or kBTree) and a dir.
   size_t record_shards = 1;
 
   /// Replication identity of this site.

@@ -22,14 +22,11 @@ constexpr const char* kCheckpointFile = "checkpoint.log";
 constexpr const char* kCheckpointTmpFile = "checkpoint.tmp";
 constexpr const char* kRecordsFile = "records.db";
 
-/// kDefault keeps the historical use_btree semantics; kBTree without a
-/// dir degrades to kMem exactly as use_btree always has.
+/// kDefault is btree when a dir is set and mem otherwise; kBTree without
+/// a dir degrades to kMem.
 RecordBackend ResolveBackend(const TardisOptions& options) {
   RecordBackend backend = options.backend;
-  if (backend == RecordBackend::kDefault) {
-    backend =
-        options.use_btree ? RecordBackend::kBTree : RecordBackend::kMem;
-  }
+  if (backend == RecordBackend::kDefault) backend = RecordBackend::kBTree;
   if (backend == RecordBackend::kBTree && options.dir.empty()) {
     backend = RecordBackend::kMem;
   }
@@ -545,6 +542,7 @@ Status TardisStore::CommitTxn(Transaction* t, const EndConstraintPtr& ec_in) {
   }
 
   const bool was_merge = t->mode() == Transaction::Mode::kMerge;
+  t->forked_ = forked;
   t->Finish();
   commits_total_->Increment();
   if (forked) {

@@ -84,6 +84,10 @@ class Transaction {
   uint64_t session_tag_id() const { return session_tag_id_; }
   uint64_t session_tag_seq() const { return session_tag_seq_; }
 
+  /// True once a successful Commit() created its state as a sibling of an
+  /// existing child, i.e. this commit itself forked the State DAG.
+  bool forked() const { return forked_; }
+
   const TxnContext& context() const { return ctx_; }
 
  private:
@@ -101,6 +105,7 @@ class Transaction {
   uint64_t session_tag_id_ = 0;
   uint64_t session_tag_seq_ = 0;
   bool active_ = true;
+  bool forked_ = false;
 };
 
 using TxnPtr = std::unique_ptr<Transaction>;

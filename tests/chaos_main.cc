@@ -152,7 +152,6 @@ bool Schedule::OpenSite(uint32_t i) {
   Site& s = sites_[i];
   TardisOptions o;
   o.dir = s.dir;
-  o.use_btree = true;
   o.enable_commit_log = true;
   o.flush_mode = Wal::FlushMode::kAsync;
   o.cache_pages = 128;

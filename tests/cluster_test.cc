@@ -321,6 +321,42 @@ TEST_F(TwoPcTest, ForkOnConflictInsteadOfAbort) {
   EXPECT_EQ(store_->stats().branches_created, forks_before + 1);
 }
 
+// The FORKED reply names the decide's own commit, not the store: a fork
+// by another commit that lands while the decide is applied must not make
+// a non-forking decide report `forked`.
+TEST_F(TwoPcTest, ConcurrentForkDoesNotMarkDecideForked) {
+  ReplMessage ack;
+  ASSERT_TRUE(
+      participant_->HandlePrepare(MakePrepare(12, "k", "twopc"), &ack).ok());
+  // `rogue` reads x; a later commit writes x, so rogue can only commit as
+  // a sibling branch, i.e. it forks.
+  auto session = store_->CreateSession();
+  auto rogue = store_->Begin(session.get());
+  ASSERT_TRUE(rogue.ok());
+  std::string ignored;
+  (void)rogue.value()->Get("x", &ignored);
+  ASSERT_TRUE(rogue.value()->Put("x", "rogue").ok());
+  CommitLocal("x", "first");
+  // Commit rogue from inside the decide: the store calls back right after
+  // the decide's own commit, before the participant builds its ack.
+  bool rogue_forked = false;
+  store_->SetCommitCallback([&](const CommitRecord& record) {
+    if (record.writes.empty() || record.writes[0].first != "k") return;
+    ASSERT_TRUE(rogue.value()->Commit().ok());
+    rogue_forked = rogue.value()->forked();
+  });
+  const uint64_t forks_before = store_->stats().branches_created;
+  ASSERT_TRUE(participant_
+                  ->HandleDecide(MakeDecide(12, TwoPhaseDecision::kCommit),
+                                 &ack)
+                  .ok());
+  store_->SetCommitCallback(nullptr);
+  EXPECT_TRUE(rogue_forked);
+  EXPECT_EQ(store_->stats().branches_created, forks_before + 1);
+  EXPECT_EQ(ack.decision, static_cast<uint8_t>(TwoPhaseDecision::kCommit));
+  EXPECT_FALSE(ack.forked);
+}
+
 TEST_F(TwoPcTest, RecoveryBringsBackInDoubtPrepares) {
   ReplMessage ack;
   ASSERT_TRUE(

@@ -25,10 +25,11 @@ class RecoveryTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::unique_ptr<TardisStore> OpenStore(bool use_btree = true) {
+  std::unique_ptr<TardisStore> OpenStore(
+      RecordBackend backend = RecordBackend::kDefault) {
     TardisOptions options;
     options.dir = dir_;
-    options.use_btree = use_btree;
+    options.backend = backend;
     options.flush_mode = Wal::FlushMode::kSync;
     auto store = TardisStore::Open(options);
     EXPECT_TRUE(store.ok()) << store.status().ToString();
@@ -247,17 +248,17 @@ TEST_F(RecoveryTest, CheckpointAfterGcKeepsCompressedDag) {
 }
 
 TEST_F(RecoveryTest, MemBackendRecoversViaLogOnly) {
-  // use_btree=false persists nothing for records in-memory... the commit
+  // The mem backend persists nothing for records in-memory... the commit
   // log alone cannot restore values, so this configuration persists
   // records in the in-memory store only for the process lifetime. What
   // must still work: the DAG structure replays and missing records make
   // recovery discard the suffix cleanly.
   {
-    auto store = OpenStore(/*use_btree=*/false);
+    auto store = OpenStore(RecordBackend::kMem);
     auto session = store->CreateSession();
     PutCommit(store.get(), session.get(), "k", "v");
   }
-  auto store = OpenStore(/*use_btree=*/false);
+  auto store = OpenStore(RecordBackend::kMem);
   // Records were never durable: the persistence check discards the txn.
   EXPECT_EQ(store->dag()->state_count(), 1u);
 }

@@ -103,7 +103,6 @@ TEST(ShardedStoreTest, TardisSiteOnShardedRecords) {
   const std::string dir = FreshDir("site");
   TardisOptions options;
   options.dir = dir;
-  options.use_btree = true;
   options.record_shards = 4;
   options.cache_pages = 64;
   options.flush_mode = Wal::FlushMode::kSync;
