@@ -286,6 +286,7 @@ void TcpTransport::StartConnect(PeerConn* pc, uint64_t now_ms) {
     EncodeFrame(hello, &frame);
     pc->sendbuf.append(frame);
     pc->frame_lens.push_back(frame.size());
+    pc->hello_unsent = true;
     // Note: the backoff is NOT reset here. A TCP connect can succeed
     // against a port that then rejects the handshake (wrong process, a
     // proxy, a half-dead peer); resetting on connect would hammer it at
@@ -303,8 +304,11 @@ void TcpTransport::CloseOutbound(PeerConn* pc, uint64_t now_ms) {
   pc->connected = false;
   pc->handshaked = false;
   // Anything still buffered will never reach the peer: gossip tolerates
-  // the loss (anti-entropy re-fetches), so count and discard.
-  dropped_.fetch_add(pc->frame_lens.size(), std::memory_order_relaxed);
+  // the loss (anti-entropy re-fetches), so count and discard. Our own
+  // kHello is not a message: a refused dial drops nothing.
+  dropped_.fetch_add(pc->frame_lens.size() - (pc->hello_unsent ? 1 : 0),
+                     std::memory_order_relaxed);
+  pc->hello_unsent = false;
   pc->sendbuf.clear();
   pc->sendbuf_off = 0;
   pc->frame_lens.clear();
@@ -338,6 +342,7 @@ void TcpTransport::FlushWrites(PeerConn* pc, uint64_t now_ms) {
   while (!pc->frame_lens.empty() && pc->frame_lens.front() <= pc->sendbuf_off) {
     const size_t len = pc->frame_lens.front();
     pc->frame_lens.pop_front();
+    pc->hello_unsent = false;
     pc->sendbuf.erase(0, len);
     pc->sendbuf_off -= len;
   }

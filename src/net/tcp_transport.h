@@ -129,6 +129,7 @@ class TcpTransport : public Transport {
     std::string sendbuf;       ///< encoded frames awaiting write
     size_t sendbuf_off = 0;    ///< bytes of sendbuf already written
     std::deque<size_t> frame_lens;  ///< frame boundaries, for drop stats
+    bool hello_unsent = false;  ///< frame_lens.front() is our kHello
     std::string recvbuf;       ///< hello-ack reassembly
     Backoff backoff;
   };
