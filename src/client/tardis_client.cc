@@ -2,10 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,6 +10,7 @@
 #include <sstream>
 
 #include "cluster/framed_client.h"
+#include "net/dial.h"
 #include "util/clock.h"
 #include "util/random.h"
 
@@ -106,52 +103,21 @@ Status TardisClient::ConnectCurrent(uint64_t deadline_ms) {
   uint16_t port = 0;
   TARDIS_RETURN_IF_ERROR(cluster::ParseEndpoint(endpoint, &host, &port));
 
-  addrinfo hints;
-  memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  const std::string port_str = std::to_string(port);
-  if (getaddrinfo(host.c_str(), port_str.c_str(), &hints, &res) != 0 ||
-      res == nullptr) {
-    return Status::IOError("resolve " + host);
+  auto fd = StartConnect(host, port);
+  if (!fd.ok()) return fd.status();
+  // The connect honors both the connect timeout and the request
+  // deadline instead of the kernel's default.
+  const uint64_t now = NowMillis();
+  uint64_t budget = options_.connect_timeout_ms;
+  if (deadline_ms > now) budget = std::min(budget, deadline_ms - now);
+  const Status s = AwaitConnect(*fd, std::max<uint64_t>(budget, 1));
+  if (!s.ok()) {
+    ::close(*fd);
+    return Status::IOError(endpoint + ": " + s.message());
   }
-  const int fd = socket(res->ai_family, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    freeaddrinfo(res);
-    return Status::IOError("socket: " + std::string(strerror(errno)));
-  }
-  // Nonblocking connect so the connect attempt honors both the connect
-  // timeout and the request deadline instead of the kernel's default.
-  const int flags = fcntl(fd, F_GETFL, 0);
-  fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  int rc = connect(fd, res->ai_addr, static_cast<socklen_t>(res->ai_addrlen));
-  freeaddrinfo(res);
-  if (rc != 0 && errno != EINPROGRESS) {
-    const Status s =
-        Status::IOError("connect " + endpoint + ": " + strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  if (rc != 0) {
-    const uint64_t now = NowMillis();
-    uint64_t budget = options_.connect_timeout_ms;
-    if (deadline_ms > now) budget = std::min(budget, deadline_ms - now);
-    pollfd pfd{fd, POLLOUT, 0};
-    rc = poll(&pfd, 1, static_cast<int>(std::max<uint64_t>(budget, 1)));
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (rc <= 0 ||
-        getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-      ::close(fd);
-      return Status::IOError("connect " + endpoint + ": " +
-                             (rc <= 0 ? "timeout" : strerror(err)));
-    }
-  }
-  fcntl(fd, F_SETFL, flags);  // back to blocking; SO_*TIMEO bound the IO
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
+  // Back to blocking; SO_*TIMEO bound the IO.
+  fcntl(*fd, F_SETFL, fcntl(*fd, F_GETFL, 0) & ~O_NONBLOCK);
+  fd_ = *fd;
   inbuf_.clear();
   return Status::OK();
 }

@@ -1,11 +1,6 @@
 #include "cluster/framed_client.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
@@ -14,6 +9,7 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "net/dial.h"
 #include "net/wire.h"
 #include "util/clock.h"
 
@@ -101,48 +97,14 @@ Status FramedClient::Connect(const std::string& endpoint,
   Status s = ParseEndpoint(endpoint, &host, &port);
   if (!s.ok()) return s;
 
-  struct addrinfo hints;
-  memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  const std::string port_str = std::to_string(port);
-  if (getaddrinfo(host.c_str(), port_str.c_str(), &hints, &res) != 0 ||
-      res == nullptr) {
-    return Status::IOError("cannot resolve " + host);
+  auto fd = StartConnect(host, port);
+  if (!fd.ok()) return fd.status();
+  s = AwaitConnect(*fd, timeout_ms);
+  if (!s.ok()) {
+    ::close(*fd);
+    return s;
   }
-
-  const uint64_t deadline_ms = NowMillis() + timeout_ms;
-  int fd = socket(res->ai_family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                  0);
-  if (fd < 0) {
-    freeaddrinfo(res);
-    return Status::IOError("socket: " + std::string(strerror(errno)));
-  }
-  int rc = connect(fd, res->ai_addr, res->ai_addrlen);
-  freeaddrinfo(res);
-  if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    return Status::IOError("connect: " + std::string(strerror(errno)));
-  }
-  if (rc != 0) {
-    s = WaitReady(fd, POLLOUT, deadline_ms);
-    if (s.ok()) {
-      int err = 0;
-      socklen_t len = sizeof(err);
-      if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-        s = Status::IOError("connect: " +
-                            std::string(strerror(err != 0 ? err : errno)));
-      }
-    }
-    if (!s.ok()) {
-      ::close(fd);
-      return s;
-    }
-  }
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
+  fd_ = *fd;
   endpoint_ = endpoint;
   return Status::OK();
 }

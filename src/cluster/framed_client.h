@@ -6,7 +6,7 @@
 // router's traffic is strictly request/response: it sends one frame and
 // waits for exactly one reply. A tiny blocking client with per-call
 // deadlines fits that shape better than threading router connections
-// through the transport's poll loop, and keeps the router stateless — a
+// through the transport's loop, and keeps the router stateless — a
 // FramedClient carries no state besides the socket itself, so dropping
 // and re-dialing it is always safe.
 //

@@ -24,7 +24,8 @@
 //   pager.sync                Pager::Sync
 //   store.checkpoint.rename   before the checkpoint rename-into-place
 //   env.append                FaultEnv short-write cap (kLimitWrite)
-//   net.tcp.send              TcpTransport send() byte cap (kLimitWrite)
+//   net.tcp.send              ConnServer socket send() byte cap, every
+//                             connection incl. TcpTransport's (kLimitWrite)
 //   twopc.prepare.persist     before a prepare record is logged (an
 //                             injected error turns the vote into abort)
 //   twopc.decide.apply        before a decide-commit is applied locally

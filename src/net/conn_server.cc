@@ -1,5 +1,6 @@
 #include "net/conn_server.h"
 
+#include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -12,6 +13,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "fault/fault_points.h"
+#include "fault/fault_registry.h"
 #include "net/wire.h"
 #include "obs/exposition.h"
 #include "util/clock.h"
@@ -59,6 +62,7 @@ Splitter Splitter::Frame() {
 ConnServer::ConnServer() : ConnServer(Options{}) {}
 
 ConnServer::ConnServer(Options options) : options_(std::move(options)) {
+  if (options_.tick_ms > 0) next_tick_ms_ = NowMillis() + options_.tick_ms;
   epfd_ = epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   EpollCtl(epfd_, EPOLL_CTL_ADD, wake_fd_, kWakeId, EPOLLIN);
@@ -71,7 +75,8 @@ ConnServer::~ConnServer() {
 }
 
 StatusOr<uint16_t> ConnServer::Listen(uint16_t port, Splitter splitter,
-                                      Handler handler) {
+                                      Handler handler,
+                                      const std::string& host) {
   const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0 || epfd_ < 0 || wake_fd_ < 0) {
     if (fd >= 0) ::close(fd);
@@ -81,7 +86,9 @@ StatusOr<uint16_t> ConnServer::Listen(uint16_t port, Splitter splitter,
   setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = INADDR_ANY;
+  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    addr.sin_addr.s_addr = INADDR_ANY;
+  }
   addr.sin_port = htons(port);
   socklen_t len = sizeof(addr);
   if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
@@ -92,13 +99,44 @@ StatusOr<uint16_t> ConnServer::Listen(uint16_t port, Splitter splitter,
     ::close(fd);
     return s;
   }
-  auto listener = std::make_unique<ServerListener>();
+  auto listener = std::make_shared<ServerListener>();
   listener->fd = fd;
   listener->splitter = splitter;
   listener->handler = std::move(handler);
   listeners_.push_back(std::move(listener));
   EpollCtl(epfd_, EPOLL_CTL_ADD, fd, listeners_.size(), EPOLLIN);
   return static_cast<uint16_t>(ntohs(addr.sin_port));
+}
+
+ConnPtr ConnServer::Adopt(int fd, Splitter splitter, Handler handler) {
+  auto c = std::make_shared<ServerConn>();
+  c->id = kFirstConnId + next_conn_id_++;
+  c->listener = std::make_shared<ServerListener>();
+  c->listener->splitter = splitter;
+  c->listener->handler = std::move(handler);
+  c->dialed = true;
+  c->fd = fd;
+  // Writable once the connect completes; Service then flushes what was
+  // sent meanwhile and settles the interest.
+  c->events = EPOLLIN | EPOLLOUT;
+  EpollCtl(epfd_, EPOLL_CTL_ADD, fd, c->id, c->events);
+  conns_.emplace(c->id, c);
+  return c;
+}
+
+void ConnServer::ScheduleTick(uint64_t delay_ms) {
+  const uint64_t at = NowMillis() + delay_ms;
+  if (next_tick_ms_ == 0 || at < next_tick_ms_) next_tick_ms_ = at;
+}
+
+size_t ServerConn::unsent() {
+  std::lock_guard<std::mutex> guard(mu);
+  return out.size() - out_off;
+}
+
+bool ServerConn::open() {
+  std::lock_guard<std::mutex> guard(mu);
+  return fd >= 0 && !close_after_flush;
 }
 
 void ConnServer::Stop() {
@@ -133,14 +171,29 @@ void ConnServer::Reply(const ConnPtr& conn, std::string_view bytes,
   std::lock_guard<std::mutex> guard(c->mu);
   c->in_flight = false;
   if (c->fd < 0) return;
+  WriteLocked(c, bytes, close);
+  if (t_loop == this) return;
+  // The loop also has work if a pipelined message waits, the peer has
+  // closed, or a drain is on.
+  if (c->peer_eof || c->input_waiting || draining_.load()) {
+    SetInterest(c, c->events | EPOLLOUT);
+  }
+}
+
+void ConnServer::Send(const ConnPtr& conn, std::string_view bytes) {
+  ServerConn* c = conn.get();
+  std::lock_guard<std::mutex> guard(c->mu);
+  if (c->fd >= 0) WriteLocked(c, bytes, false);
+}
+
+void ConnServer::WriteLocked(ServerConn* c, std::string_view bytes,
+                             bool close) {
   c->out.append(bytes);
   if (!FlushLocked(c) || close) c->close_after_flush = true;
-  if (t_loop == this) return;
-  // The loop has work: unsent bytes, a pipelined message, a close, or a
-  // drain to finish. Asking epoll for writability wakes it for this
-  // connection (at once if the socket has room) without a queue.
-  if (c->close_after_flush || c->peer_eof || c->input_waiting ||
-      c->out_off < c->out.size() || draining_.load()) {
+  // Unsent bytes or a close leave the loop work. Asking epoll for
+  // writability wakes it for this connection (at once if the socket has
+  // room) without a queue.
+  if (c->out_off < c->out.size() || c->close_after_flush) {
     SetInterest(c, c->events | EPOLLOUT);
   }
 }
@@ -152,8 +205,14 @@ void ConnServer::Poke() {
 
 bool ConnServer::FlushLocked(ServerConn* c) {
   while (c->out_off < c->out.size()) {
-    const ssize_t n = ::send(c->fd, c->out.data() + c->out_off,
-                             c->out.size() - c->out_off, MSG_NOSIGNAL);
+    size_t want = c->out.size() - c->out_off;
+    if (fault::FaultsArmed()) {
+      // A "net.tcp.send" kLimitWrite spec caps the bytes one send() may
+      // move, forcing the partial-write resume path.
+      want = fault::FaultRegistry::Global().WriteCap("net.tcp.send", want);
+    }
+    const ssize_t n =
+        ::send(c->fd, c->out.data() + c->out_off, want, MSG_NOSIGNAL);
     if (n > 0) {
       c->out_off += static_cast<size_t>(n);
       continue;
@@ -178,6 +237,7 @@ void ConnServer::CloseLocked(ServerConn* c) {
   c->fd = -1;
   c->out.clear();
   conns_.erase(c->id);
+  if (c->dialed) ScheduleTick(0);
 }
 
 void ConnServer::SetInterest(ServerConn* c, uint32_t events) {
@@ -188,14 +248,13 @@ void ConnServer::SetInterest(ServerConn* c, uint32_t events) {
 
 void ConnServer::Run() {
   t_loop = this;
-  uint64_t next_tick =
-      options_.tick_ms > 0 ? NowMillis() + options_.tick_ms : 0;
   epoll_event events[64];
   while (!stop_.load()) {
     int timeout = -1;
-    if (next_tick != 0) {
+    if (next_tick_ms_ != 0) {
       const uint64_t now = NowMillis();
-      timeout = next_tick > now ? static_cast<int>(next_tick - now) : 0;
+      timeout =
+          next_tick_ms_ > now ? static_cast<int>(next_tick_ms_ - now) : 0;
     }
     const int n = epoll_wait(epfd_, events, 64, timeout);
     if (n < 0 && errno != EINTR) {
@@ -207,7 +266,7 @@ void ConnServer::Run() {
         uint64_t count;
         (void)!::read(wake_fd_, &count, sizeof(count));
       } else if (id <= listeners_.size()) {
-        Accept(listeners_[id - 1].get());
+        Accept(listeners_[id - 1]);
       } else {
         auto it = conns_.find(id);
         if (it == conns_.end()) continue;
@@ -224,15 +283,16 @@ void ConnServer::Run() {
       }
     }
     if (draining_.load()) CheckDrained();
-    if (next_tick != 0 && NowMillis() >= next_tick) {
-      options_.on_tick();
-      next_tick = NowMillis() + options_.tick_ms;
+    if (next_tick_ms_ != 0 && NowMillis() >= next_tick_ms_) {
+      next_tick_ms_ =
+          options_.tick_ms > 0 ? NowMillis() + options_.tick_ms : 0;
+      if (options_.on_tick) options_.on_tick();
     }
   }
   t_loop = nullptr;
 }
 
-void ConnServer::Accept(ServerListener* listener) {
+void ConnServer::Accept(const std::shared_ptr<ServerListener>& listener) {
   while (listener->fd >= 0) {
     const int fd = accept4(listener->fd, nullptr, nullptr,
                            SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -332,7 +392,10 @@ void ConnServer::Service(const ConnPtr& conn) {
         return;
       }
       bool dispatch = false;
-      if (!c->in_flight && !c->close_after_flush) {
+      // Backpressure: a peer that does not read its replies stops getting
+      // new messages dispatched until they flush below the cap.
+      if (!c->in_flight && !c->close_after_flush &&
+          c->out.size() - c->out_off < splitter.max_bytes) {
         switch (SplitMessage(splitter, &c->in, &msg)) {
           case Split::kMessage:
             dispatch = true;
@@ -353,7 +416,7 @@ void ConnServer::Service(const ConnPtr& conn) {
       if (!dispatch) {
         const bool out_pending = c->out_off < c->out.size();
         if (!c->in_flight && c->close_after_flush && !out_pending) {
-          if (c->peer_eof) {
+          if (c->peer_eof || c->dialed) {
             CloseLocked(c);
             return;
           }

@@ -1,27 +1,32 @@
-// ConnServer: the one connection server behind every server socket of
-// tardisd and tardis-router (DESIGN.md §6.3) — the client line port, the
-// coordination frame port and both metrics HTTP ports.
+// ConnServer: the one connection server behind every socket of tardisd
+// and tardis-router (DESIGN.md §6.3) — the client line port, the
+// coordination frame port, both metrics HTTP ports and the replication
+// mesh of TcpTransport.
 //
 // One instance owns one epoll thread (the loop) and serves any number of
-// listeners. Sockets are non-blocking, close-on-exec and TCP_NODELAY. Each
-// listener cuts its byte stream into messages with a Splitter: a
-// newline-terminated line, a CRC-checked wire frame, or an HTTP header
-// block. The splitter's size cap also bounds the connection's input
-// buffer, so a hostile peer cannot make the server buffer without limit.
+// listeners and dialed connections. Sockets are non-blocking,
+// close-on-exec and TCP_NODELAY. Each connection cuts its byte stream
+// into messages with a Splitter: a newline-terminated line, a CRC-checked
+// wire frame, or an HTTP header block. The splitter's size cap also
+// bounds the connection's input buffer and its unsent output, so neither
+// a hostile peer nor one that stops reading makes the server buffer
+// without limit.
 //
 // A connection has at most one message in flight: the loop hands a
-// message to the listener's handler and dispatches the next one only
-// after Reply(). The handler runs on the loop thread; it may answer
-// inline (the router, the coordination port, metrics) or pass the
+// message to its handler and dispatches the next one only after Reply()
+// and only while the connection's unsent output is below the cap. The
+// handler runs on the loop thread; it may answer inline (the router, the
+// coordination port, metrics, the replication mesh) or pass the
 // connection to another thread that answers later (tardisd's workers).
-// Reply writes through on the calling thread and wakes the loop only for
-// bytes the socket did not take, a pipelined message, or a close. Replies
-// therefore leave in request order.
+// Reply and Send write through on the calling thread and wake the loop
+// only for bytes the socket did not take, a pipelined message, or a
+// close. Replies therefore leave in request order.
 //
-// Each instance also runs an optional periodic tick on the loop thread,
-// and a drain state: BeginDrain() closes the listeners, and
-// WaitDrained() returns once no connection has a message in flight or
-// unsent reply bytes. An idle connection never holds up a drain.
+// Each instance also runs an optional tick on the loop thread, periodic
+// or scheduled by its owner, and a drain state: BeginDrain() closes the
+// listeners, and WaitDrained() returns once no connection has a message
+// in flight or unsent reply bytes. An idle connection never holds up a
+// drain.
 
 #ifndef TARDIS_NET_CONN_SERVER_H_
 #define TARDIS_NET_CONN_SERVER_H_
@@ -67,19 +72,25 @@ struct Splitter {
 class ConnServer;
 struct ServerListener;  // conn_server.cc
 
-/// One accepted connection. Only `context` is the handler's; every other
-/// field belongs to the server.
+/// One accepted or dialed connection. Only `context` is the handler's;
+/// every other field belongs to the server.
 class ServerConn {
  public:
   /// Per-connection state of the handler (e.g. a client session). The
   /// server never reads it; set it from the handler on the loop thread.
   std::shared_ptr<void> context;
 
+  /// Bytes handed to Reply/Send that the socket has not taken yet.
+  size_t unsent();
+  /// False once the connection is closed or closing.
+  bool open();
+
  private:
   friend class ConnServer;
 
   uint64_t id = 0;
-  ServerListener* listener = nullptr;
+  std::shared_ptr<ServerListener> listener;
+  bool dialed = false;  ///< Adopt()ed: closes at once, closing runs the tick
   // Loop thread only.
   std::string in;
   bool write_shut = false;  ///< lingering close: FIN sent, input dropped
@@ -104,7 +115,8 @@ class ConnServer {
   using Handler = std::function<void(const ConnPtr& conn, std::string msg)>;
 
   struct Options {
-    /// Period of `on_tick`, run on the loop thread (0 = no tick).
+    /// Period of `on_tick`, run on the loop thread (0 = only when
+    /// ScheduleTick or a dialed connection's close asks for it).
     uint64_t tick_ms = 0;
     std::function<void()> on_tick;
   };
@@ -116,9 +128,22 @@ class ConnServer {
   ConnServer(const ConnServer&) = delete;
   ConnServer& operator=(const ConnServer&) = delete;
 
-  /// Binds `port` on every interface (0 picks an ephemeral port) and
-  /// returns the bound port. Call before Start().
-  StatusOr<uint16_t> Listen(uint16_t port, Splitter splitter, Handler handler);
+  /// Binds `port` (0 picks an ephemeral port) on `host`, an IPv4 address;
+  /// anything else binds every interface. Returns the bound port. Call
+  /// before Start().
+  StatusOr<uint16_t> Listen(uint16_t port, Splitter splitter, Handler handler,
+                            const std::string& host = "0.0.0.0");
+
+  /// Serves `fd`, a socket whose non-blocking connect may still be in
+  /// progress (see StartConnect); a failed connect closes it. Its input
+  /// goes through `splitter` to `handler` like an accepted connection's.
+  /// A dialed connection closes without lingering, and its close makes
+  /// the tick due at once. Loop thread, or before Start().
+  ConnPtr Adopt(int fd, Splitter splitter, Handler handler);
+
+  /// Makes the tick due within `delay_ms` (an earlier due time stands).
+  /// Loop thread, or before Start().
+  void ScheduleTick(uint64_t delay_ms);
 
   /// Starts the loop thread.
   void Start() { thread_ = std::thread([this] { Run(); }); }
@@ -127,6 +152,11 @@ class ConnServer {
   /// then closes the connection once they are out if `close`. Safe from
   /// any thread; a no-op if the connection is already gone.
   void Reply(const ConnPtr& conn, std::string_view bytes, bool close = false);
+
+  /// Appends `bytes` to the connection's output and writes through, like
+  /// Reply but with no message in flight to answer. Safe from any
+  /// thread; dropped if the connection is gone.
+  void Send(const ConnPtr& conn, std::string_view bytes);
 
   /// Stops accepting: closes every listener. Open connections keep
   /// being served. Idempotent; safe from any thread.
@@ -143,7 +173,10 @@ class ConnServer {
   enum class Split { kNeedMore, kMessage, kOverflow };
 
   void Run();
-  void Accept(ServerListener* listener);
+  void Accept(const std::shared_ptr<ServerListener>& listener);
+  /// Reply/Send after the lock: appends, writes through, and asks the
+  /// loop for what is left to do. c->mu held.
+  void WriteLocked(ServerConn* c, std::string_view bytes, bool close);
   void ReadInput(ServerConn* c);
   /// Flushes, dispatches buffered messages one at a time, closes a
   /// finished connection and sets its epoll interest. Loop thread.
@@ -163,9 +196,10 @@ class ConnServer {
   const Options options_;
   int epfd_ = -1;
   int wake_fd_ = -1;  ///< eventfd
-  std::vector<std::unique_ptr<ServerListener>> listeners_;
+  std::vector<std::shared_ptr<ServerListener>> listeners_;
   std::unordered_map<uint64_t, ConnPtr> conns_;  ///< loop thread only
   uint64_t next_conn_id_ = 0;
+  uint64_t next_tick_ms_ = 0;  ///< 0 = none due; loop thread only
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> draining_{false};

@@ -11,19 +11,26 @@
 // that ever flow "backwards". Outbound connections that fail or die
 // reconnect with capped exponential backoff, and the backoff only resets
 // once the peer's kHelloAck arrives (a TCP connect that is later rejected
-// at the handshake keeps backing off). While a peer is down, messages
-// addressed to it are counted as dropped (gossip tolerates loss —
-// anti-entropy recovers it), never an error up the stack.
+// at the handshake keeps backing off).
 //
-// One background thread multiplexes all sockets with poll(2): the listen
-// socket, accepted inbound sockets (read side, frame reassembly +
-// decode), and dialed outbound sockets (connect completion + buffered
-// writes). Send/Broadcast write a frame through on the calling thread when
-// a handshaked peer has no backlog; otherwise they queue it and wake the
-// thread through a self-pipe. The inbox condvar ends WaitReceive. A
-// malformed inbound frame (bad CRC, hostile length prefix, undecodable
-// payload) closes that connection and is otherwise ignored — a fuzzing
-// peer cannot crash the daemon.
+// Every socket is served by one ConnServer the transport owns
+// (net/conn_server.h). The listen port cuts wire frames; its handler runs
+// the kHello gate, answers kHelloAck and queues decoded frames in the
+// inbox, whose condvar ends WaitReceive. Each dialed peer is an adopted
+// connection whose only input is the kHelloAck. Send/Broadcast write a
+// frame through on the calling thread; the loop flushes what the socket
+// did not take. The loop's tick wakes the pump once per batch of inbound
+// frames and redials peers whose backoff is due; it runs on no schedule
+// while every peer is connected. A malformed inbound frame (bad CRC, hostile length prefix,
+// undecodable payload) closes that connection and is otherwise ignored —
+// a fuzzing peer cannot crash the daemon.
+//
+// A frame counts as dropped when the transport refuses it: the peer has
+// not completed its handshake, the link is partitioned, or the peer's
+// unsent backlog would pass 64 MiB. Gossip tolerates the loss
+// (anti-entropy recovers it), so it is never an error up the stack. A
+// frame already handed to a connection that then dies is lost without
+// being counted, like bytes in a kernel socket buffer.
 
 #ifndef TARDIS_NET_TCP_TRANSPORT_H_
 #define TARDIS_NET_TCP_TRANSPORT_H_
@@ -34,10 +41,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
+#include "net/conn_server.h"
 #include "net/transport.h"
 #include "util/backoff.h"
 #include "util/status.h"
@@ -61,15 +68,12 @@ struct TcpTransportOptions {
   /// Reconnect backoff: initial delay doubling up to the cap.
   uint64_t reconnect_initial_ms = 20;
   uint64_t reconnect_max_ms = 2000;
-  /// Bytes buffered per not-yet-writable peer before new messages are
-  /// dropped instead of queued.
-  size_t max_sendbuf_bytes = 64u << 20;
 };
 
 class TcpTransport : public Transport {
  public:
-  /// Binds the listen socket and starts the IO thread. Fails with
-  /// IOError if the port cannot be bound.
+  /// Binds the listen socket and starts the connection server, which
+  /// dials every peer. Fails with IOError if the port cannot be bound.
   static StatusOr<std::unique_ptr<TcpTransport>> Open(
       const TcpTransportOptions& options);
   ~TcpTransport() override;
@@ -77,7 +81,7 @@ class TcpTransport : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  /// Stops the IO thread and closes every socket. Idempotent.
+  /// Stops the connection server and closes every socket. Idempotent.
   void Shutdown();
 
   /// Actual bound port (differs from options when listen_port was 0).
@@ -119,65 +123,47 @@ class TcpTransport : public Transport {
   void HealAll() override;
 
  private:
-  struct PeerConn {
+  struct Peer {
     TcpPeer peer;
-    int fd = -1;
-    bool connecting = false;   ///< non-blocking connect in flight
-    bool connected = false;    ///< TCP established (hello may be in flight)
-    bool handshaked = false;   ///< peer's kHelloAck received
+    ConnPtr conn;                  ///< dialed connection; null between dials
+    bool handshaked = false;       ///< conn's kHelloAck received
     bool ever_handshaked = false;  ///< distinguishes reconnects from dial #1
-    std::string sendbuf;       ///< encoded frames awaiting write
-    size_t sendbuf_off = 0;    ///< bytes of sendbuf already written
-    std::deque<size_t> frame_lens;  ///< frame boundaries, for drop stats
-    bool hello_unsent = false;  ///< frame_lens.front() is our kHello
-    std::string recvbuf;       ///< hello-ack reassembly
     Backoff backoff;
-  };
-  struct InboundConn {
-    int fd = -1;
-    bool identified = false;   ///< valid kHello received
-    uint32_t peer_site = 0;    ///< meaningful once identified
-    std::string recvbuf;
-    std::string sendbuf;       ///< the kHelloAck awaiting write
-    size_t sendbuf_off = 0;
   };
 
   explicit TcpTransport(const TcpTransportOptions& options);
 
-  Status Listen();
-  void IoLoop();
-  void Wake();
-  void StartConnect(PeerConn* pc, uint64_t now_ms);
-  void CloseOutbound(PeerConn* pc, uint64_t now_ms);
-  void FlushWrites(PeerConn* pc, uint64_t now_ms);
-  /// Parses handshake replies on a dialed connection. Returns false on a
-  /// protocol violation (caller closes the connection).
-  bool DrainOutboundHandshake(PeerConn* pc);
-  void DrainInbound(InboundConn* ic);
-  void FlushInboundWrites(InboundConn* ic);
+  /// The loop's tick, run after a batch of socket events that queued
+  /// frames, after a dialed connection closed, or when a backoff expires:
+  /// wakes the pump for queued frames, retires closed dialed connections,
+  /// dials peers whose backoff is due and schedules the next tick while
+  /// one is down.
+  void Tick();
+  /// Handlers of the accepted (peer -> us) and dialed (us -> peer)
+  /// connections, on the loop thread.
+  void OnInboundFrame(const ConnPtr& conn, std::string payload);
+  void OnHelloAck(const ConnPtr& conn, std::string payload);
   bool IsKnownPeer(uint32_t site) const;
   void EnqueueEncoded(uint32_t to, const std::string& frame);
 
   TcpTransportOptions options_;
   size_t num_sites_;
   uint16_t listen_port_ = 0;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
+  std::string hello_frame_;  ///< our kHello, the first frame of each dial
 
   mutable std::mutex mu_;
-  std::vector<PeerConn> outbound_;          // one per peer
-  std::vector<InboundConn> inbound_;        // accepted connections
+  std::vector<Peer> peers_;                 // one per peer
   std::deque<ReplMessage> inbox_;           // decoded, awaiting Receive
   std::condition_variable inbox_cv_;        // inbox_ grew, interrupt, stop
   bool interrupted_ = false;                // guarded by mu_
+  bool stopped_ = false;                    // guarded by mu_
   std::unordered_set<uint32_t> partitioned_;
 
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
   std::atomic<uint64_t> reconnects_{0};
 
-  std::thread io_;
-  std::atomic<bool> stop_{true};
+  ConnServer server_;  ///< last member: its loop stops before the rest die
 };
 
 }  // namespace tardis

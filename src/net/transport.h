@@ -97,7 +97,9 @@ class Transport {
         [this] { return messages_delivered(); }, site, this);
     registry->RegisterCallbackCounter(
         "tardis_net_dropped_total",
-        "Messages dropped (partition, dead peer, full buffer)",
+        "Messages the transport refused (peer not connected, link "
+        "partitioned, backlog full); messages lost with a connection that "
+        "dies are not counted",
         [this] { return messages_dropped(); }, site, this);
   }
 

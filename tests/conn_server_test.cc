@@ -177,6 +177,56 @@ TEST(ConnServerTest, PipelinedLinesAnsweredInOrderPastSendBuffer) {
   EXPECT_TRUE(got == expected) << "replies out of order or torn";
 }
 
+TEST(ConnServerTest, UnreadRepliesStopDispatchUntilTheClientReads) {
+  // A client pipelines thousands of requests and reads nothing. Once the
+  // unsent replies pass the splitter's cap the server stops dispatching
+  // instead of buffering every reply; once the client reads, the rest
+  // are dispatched and every reply arrives, in order.
+  constexpr int kLines = 10000;
+  const std::string pad(4096, 'p');
+  std::atomic<int> dispatched{0};
+  ConnServer server;
+  auto port = server.Listen(0, Splitter::Line(),
+                            [&](const ConnPtr& conn, std::string line) {
+                              dispatched++;
+                              server.Reply(conn, line + pad + "\n");
+                            });
+  ASSERT_TRUE(port.ok());
+  server.Start();
+
+  std::string requests;
+  std::string expected;
+  for (int i = 0; i < kLines; i++) {
+    requests += std::to_string(i) + "\n";
+    expected += std::to_string(i) + pad + "\n";
+  }
+  const int fd = Dial(*port, 4096);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WriteAll(fd, requests));
+
+  // Wait until the dispatch count holds still for 300 ms.
+  int last = -1;
+  uint64_t still_since = NowMillis();
+  const uint64_t deadline = NowMillis() + 10000;
+  while (NowMillis() < deadline && NowMillis() - still_since < 300) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int now = dispatched.load();
+    if (now != last) {
+      last = now;
+      still_since = NowMillis();
+    }
+  }
+  EXPECT_LT(last, kLines) << "every request dispatched while nobody read";
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(dispatched.load(), last) << "dispatch resumed without a read";
+
+  const std::string got = ReadUpTo(fd, expected.size());
+  ::close(fd);
+  EXPECT_EQ(dispatched.load(), kLines);
+  ASSERT_EQ(got.size(), expected.size());
+  EXPECT_TRUE(got == expected) << "replies out of order or torn";
+}
+
 TEST(ConnServerTest, FrameSplitAcrossWritesAndCorruptFrameCloses) {
   ConnServer server;
   auto port = server.Listen(

@@ -3,7 +3,8 @@
 // replication_test.cc's MergeReplicatesAndConverges, but across TCP),
 // peer death + reconnect with backoff, drop accounting while a peer is
 // down, garbage bytes from a hostile client, the WaitReceive wakeups the
-// Replicator pump sleeps on, and frame order across write-through sends.
+// Replicator pump sleeps on, and frame order across write-through sends
+// and across sends capped to a few bytes.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <string>
 #include <thread>
 
+#include "fault/fault_registry.h"
 #include "net/tcp_transport.h"
 #include "replication/replicator.h"
 
@@ -169,6 +171,49 @@ TEST(TcpTransportTest, WriteThroughKeepsOrderPastSocketBuffer) {
     EXPECT_EQ(got.commit.writes[0].second->size(), value->size());
   }
   EXPECT_EQ((*t0)->messages_dropped(), 0u);
+}
+
+TEST(TcpTransportTest, ShortSendsDeliverWholeFramesInOrder) {
+  // Every send() of every connection moves at most 3 bytes, the hello and
+  // the ack included: frames cross the wire in pieces and must still
+  // arrive whole and in order.
+  struct Disarm {
+    ~Disarm() { fault::FaultRegistry::Global().DisarmAll(); }
+  } disarm;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kLimitWrite;
+  spec.limit_bytes = 3;
+  fault::FaultRegistry::Global().Arm("net.tcp.send", spec);
+  const uint64_t short_writes_before =
+      fault::FaultRegistry::Global().short_writes();
+
+  const std::vector<uint16_t> ports = {PickFreePort(), PickFreePort()};
+  auto t0 = TcpTransport::Open(EndpointOptions(0, ports));
+  auto t1 = TcpTransport::Open(EndpointOptions(1, ports));
+  ASSERT_TRUE(t0.ok());
+  ASSERT_TRUE(t1.ok());
+  ASSERT_TRUE(WaitFor([&] { return (*t0)->IsConnected(1); }));
+  constexpr uint64_t kFrames = 50;
+  for (uint64_t i = 1; i <= kFrames; i++) {
+    ReplMessage m;
+    m.commit.guid.seq = i;
+    m.commit.writes.emplace_back(
+        "k" + std::to_string(i),
+        std::make_shared<const std::string>(i * 37, static_cast<char>(i)));
+    (*t0)->Send(0, 1, std::move(m));
+  }
+  ReplMessage got;
+  for (uint64_t i = 1; i <= kFrames; i++) {
+    ASSERT_TRUE(WaitFor([&] { return (*t1)->Receive(1, &got); }));
+    EXPECT_EQ(got.commit.guid.seq, i);
+    ASSERT_EQ(got.commit.writes.size(), 1u);
+    EXPECT_EQ(got.commit.writes[0].first, "k" + std::to_string(i));
+    EXPECT_EQ(*got.commit.writes[0].second,
+              std::string(i * 37, static_cast<char>(i)));
+  }
+  EXPECT_EQ((*t0)->messages_dropped(), 0u);
+  EXPECT_GT(fault::FaultRegistry::Global().short_writes(),
+            short_writes_before);
 }
 
 TEST(TcpTransportTest, DownPeerCountsDroppedNotFatal) {
